@@ -1,10 +1,15 @@
-// Serving-plane performance gate. Measures the four numbers that bound
+// Serving-plane performance gate. Measures the numbers that bound
 // MANIC-as-a-service capacity and emits them as BENCH_<rev>.json so CI can
 // track regressions commit over commit:
 //
 //   ingest_samples_per_sec   end-to-end submit -> shard-ring -> engine rate
 //   query_p50_us / p99_us    point-query latency over the TCP wire
-//   inference_us_per_day_link incremental CloseDay cost per (day, link)
+//   inference us_per_pair_close  CloseDay time over every closed day,
+//                            divided by days x links x VPs (each pair's
+//                            daily close, whether or not it emits)
+//   inference us_per_verdict the same time divided by the verdicts emitted
+//                            (only days after the window fills emit, so
+//                            this is not a per-close cost)
 //   peak_rss_kb              getrusage high-water mark after the run
 //
 // Usage: perf_gate [--rev <sha>] [--out <path>] [--quick]
@@ -238,7 +243,7 @@ int main(int argc, char** argv) {
   serve::EngineConfig engine_config;
   engine_config.autocorr = w.autocorr;
   serve::ShardEngine engine(engine_config);
-  std::uint64_t day_links = 0;
+  std::uint64_t verdicts = 0;
   double close_secs = 0.0;
   for (std::int64_t day = 0; day < w.days; ++day) {
     for (int link = 1; link <= w.links; ++link) {
@@ -250,7 +255,7 @@ int main(int argc, char** argv) {
       for (const serve::Sample& s : day_batch) engine.Ingest(s);
     }
     const double t0 = runtime::WallSeconds();
-    day_links += engine.CloseDay(day).size();
+    verdicts += engine.CloseDay(day).size();
     close_secs += runtime::WallSeconds() - t0;
   }
   if (!wal_dir.empty() && service->CloseWalClean() != serve::WalStatus::kOk) {
@@ -262,8 +267,13 @@ int main(int argc, char** argv) {
   const double samples_per_sec =
       ingest_secs > 0.0 ? static_cast<double>(total_samples) / ingest_secs
                         : 0.0;
-  const double us_per_day_link =
-      day_links > 0 ? close_secs * 1e6 / static_cast<double>(day_links) : 0.0;
+  const std::uint64_t pair_closes = static_cast<std::uint64_t>(w.days) *
+                                    static_cast<std::uint64_t>(w.links) *
+                                    static_cast<std::uint64_t>(w.vps);
+  const double us_per_pair_close =
+      close_secs * 1e6 / static_cast<double>(pair_closes);
+  const double us_per_verdict =
+      verdicts > 0 ? close_secs * 1e6 / static_cast<double>(verdicts) : 0.0;
   const double p50 = Percentile(query_us, 0.50);
   const double p99 = Percentile(query_us, 0.99);
 
@@ -279,7 +289,8 @@ int main(int argc, char** argv) {
       "  \"ingest\": {\"samples\": %llu, \"seconds\": %.6f, "
       "\"samples_per_sec\": %.0f},\n"
       "  \"query\": {\"count\": %zu, \"p50_us\": %.2f, \"p99_us\": %.2f},\n"
-      "  \"inference\": {\"day_links\": %llu, \"us_per_day_link\": %.3f},\n"
+      "  \"inference\": {\"pair_closes\": %llu, \"verdicts\": %llu, "
+      "\"us_per_pair_close\": %.3f, \"us_per_verdict\": %.3f},\n"
       "  \"verdict_rows\": %llu,\n"
       "  \"peak_rss_kb\": %ld\n"
       "}\n",
@@ -288,7 +299,9 @@ int main(int argc, char** argv) {
       kIngestReps,
       static_cast<unsigned long long>(total_samples), ingest_secs,
       samples_per_sec, query_us.size(), p50, p99,
-      static_cast<unsigned long long>(day_links), us_per_day_link,
+      static_cast<unsigned long long>(pair_closes),
+      static_cast<unsigned long long>(verdicts), us_per_pair_close,
+      us_per_verdict,
       static_cast<unsigned long long>(stats.verdicts), PeakRssKb());
 
   std::fputs(json, stdout);

@@ -23,7 +23,11 @@
 #      committed BENCH_*.json baseline on ingest rate and p99 query
 #      latency — durability priced in);
 #   5. sanitizer builds: ThreadSanitizer (-DMANIC_SANITIZE=thread) rerunning
-#      the runtime + driver tests with MANIC_THREADS=4 plus the faulted
+#      the runtime + driver tests with MANIC_THREADS=4, the SPSC ring's own
+#      tests (staged runs, wrap-around, runs longer than the ring against a
+#      live consumer) and the CongestionService tests (batch-boundary
+#      equivalence on a 4-slot ring, run handover after submit and WAL
+#      recovery), plus the faulted
 #      chaos study through the full serving plane (--serve, 4 ingest
 #      shards: daemon event loop, shard workers, and the query plane all
 #      under TSan) and a crashloop kill/recover cycle (WAL replay and the
@@ -154,12 +158,12 @@ grep -q '"samples_per_sec"' "$OUT_DIR/BENCH_check.json" || {
 scripts/perf_compare.sh "$OUT_DIR/BENCH_check.json"
 echo "perf gate OK (report: $OUT_DIR/BENCH_check.json)."
 
-stage "[5/6] sanitizer builds: TSan runtime/driver tests + serve chaos study, UBSan full suite"
+stage "[5/6] sanitizer builds: TSan runtime/driver/ring/service tests + serve chaos study, UBSan full suite"
 cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
-  example_continental_study crashloop
+  test_serve example_continental_study crashloop
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver'
+  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|CongestionService'
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
 # collector handshake, exercised by the faulted chaos study end to end.
 ./build-tsan/examples/example_continental_study 45 4 4 \

@@ -37,7 +37,7 @@ void IngestShard::Stop() {
   if (!running_) return;
   Msg stop;
   stop.kind = MsgKind::kStop;
-  ring_.Push(stop);
+  ring_.Push(stop);  // publishes any staged samples ahead of the marker
   worker_.join();
   running_ = false;
 }
@@ -46,13 +46,17 @@ void IngestShard::PushSample(const Sample& s) {
   Msg msg;
   msg.kind = MsgKind::kSample;
   msg.sample = s;
-  ring_.Push(msg);
+  ring_.Stage(msg);
 }
+
+void IngestShard::Publish() { ring_.Publish(); }
 
 void IngestShard::PushCloseDay(std::int64_t day) {
   Msg msg;
   msg.kind = MsgKind::kCloseDay;
   msg.day = day;
+  // Publish-before-marker: Push publishes the staged samples and the marker
+  // in one store, so WaitClosed(day) can never wait on a stranded run.
   ring_.Push(msg);
 }
 
@@ -69,42 +73,51 @@ std::vector<VerdictRecord> IngestShard::TakeDayVerdicts() {
 }
 
 void IngestShard::WorkerLoop() {
-  for (;;) {
-    const Msg msg = ring_.PopBlocking();
-    switch (msg.kind) {
-      // The per-sample branch is the worker's steady state and carries the
-      // linter's hot-path contract; day-close below is cold and exempt.
-      // manic-lint: hot-path(begin)
-      case MsgKind::kSample:
-        engine_.Ingest(msg.sample);
-        if (config_.store_raw) Store(msg.sample);
-        samples_.fetch_add(1, std::memory_order_relaxed);
-        break;
-        // manic-lint: hot-path(end)
-      case MsgKind::kCloseDay: {
-        day_verdicts_ = engine_.CloseDay(msg.day);
-        // Saturate the study day-count so an extreme day index cannot
-        // overflow the int cast.
-        quality_ = engine_.QualitySnapshot(
-            msg.day >= 0
-                ? static_cast<int>(std::min<std::int64_t>(
-                      msg.day, std::numeric_limits<int>::max() - 1)) +
-                      1
-                : 0);
-        if (config_.store_raw && config_.retention_horizon_s > 0) {
-          const std::size_t dropped =
-              db_.EnforceRetention("tslp_rtt", config_.retention_horizon_s) +
-              db_.EnforceRetention("tslp_loss", config_.retention_horizon_s);
-          raw_points_.fetch_sub(dropped, std::memory_order_relaxed);
-        }
-        closed_through_.store(msg.day, std::memory_order_release);
-        closed_through_.notify_all();
-        break;
+  bool stopped = false;
+  while (!stopped) {
+    // One wake per published run; the sample counter moves once per run.
+    std::uint64_t samples = 0;
+    ring_.DrainRunBlocking([&](Msg& msg) {
+      switch (msg.kind) {
+        // The per-sample branch is the worker's steady state and carries
+        // the linter's hot-path contract; day-close below is cold and
+        // exempt.
+        // manic-lint: hot-path(begin)
+        case MsgKind::kSample:
+          engine_.Ingest(msg.sample);
+          if (config_.store_raw) Store(msg.sample);
+          ++samples;
+          break;
+          // manic-lint: hot-path(end)
+        case MsgKind::kCloseDay:
+          FinalizeDay(msg.day);
+          break;
+        case MsgKind::kStop:
+          stopped = true;
+          break;
       }
-      case MsgKind::kStop:
-        return;
-    }
+    });
+    samples_.fetch_add(samples, std::memory_order_relaxed);
   }
+}
+
+void IngestShard::FinalizeDay(std::int64_t day) {
+  day_verdicts_ = engine_.CloseDay(day);
+  // Saturate the study day-count so an extreme day index cannot overflow
+  // the int cast.
+  quality_ = engine_.QualitySnapshot(
+      day >= 0 ? static_cast<int>(std::min<std::int64_t>(
+                     day, std::numeric_limits<int>::max() - 1)) +
+                     1
+               : 0);
+  if (config_.store_raw && config_.retention_horizon_s > 0) {
+    const std::size_t dropped =
+        db_.EnforceRetention("tslp_rtt", config_.retention_horizon_s) +
+        db_.EnforceRetention("tslp_loss", config_.retention_horizon_s);
+    raw_points_.fetch_sub(dropped, std::memory_order_relaxed);
+  }
+  closed_through_.store(day, std::memory_order_release);
+  closed_through_.notify_all();
 }
 
 tsdb::Database::SeriesHandle IngestShard::RttHandle(topo::LinkId link,

@@ -37,6 +37,7 @@ void CongestionService::Stop() {
 SubmitOutcome CongestionService::Submit(const Sample& s) {
   const bool was_degraded = degraded_;
   SubmitOutcome outcome = SubmitOne(s, true);
+  PublishShards();
   // The single-sample path flushes per call so the caller's view ("Submit
   // returned") never runs ahead of the log. Batch for throughput.
   if (WalLive() && FlushWalPending() != WalStatus::kOk) EnterDegraded();
@@ -97,6 +98,8 @@ SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
   } else {
     ++samples_consumed_;  // no WAL, or replaying what is already durable
   }
+  // Staged only: the caller publishes every shard once per call (or a
+  // close marker below carries the run out with it).
   shards_[s.link % shards_.size()]->PushSample(s);
   samples_accepted_.fetch_add(1, std::memory_order_relaxed);
   if (s.t > watermark_t_) {
@@ -128,6 +131,7 @@ SubmitSummary CongestionService::SubmitBatch(std::span<const Sample> samples) {
         break;
     }
   }
+  PublishShards();
   // One WAL record for the whole consumed run: the ack the session sends
   // after this return is the durability receipt — so if anything degraded
   // the WAL during this batch (the final flush here, or a day-close flush
@@ -162,6 +166,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
           const SubmitOutcome replayed = SubmitOne(s, false);
           (void)replayed;  // logged samples re-admit deterministically
         }
+        PublishShards();
       },
       [this](std::int64_t day) { CloseThrough(day); });
   replaying_ = false;
@@ -207,6 +212,10 @@ WalStatus CongestionService::FlushWalPending() {
   if (status == WalStatus::kOk) samples_consumed_ += wal_pending_.size();
   wal_pending_.clear();  // capacity retained: the buffer is reused forever
   return status;
+}
+
+void CongestionService::PublishShards() {
+  for (auto& shard : shards_) shard->Publish();
 }
 
 void CongestionService::EnterDegraded() {

@@ -154,7 +154,11 @@ class CongestionService {
   // (WAL-append every consumed sample, let a watermark advance close days)
   // from WAL replay (no re-append; closes come from replayed markers only,
   // so clock-driven closes recover deterministically too).
+  // Stages the sample on its shard without publishing it.
   SubmitOutcome SubmitOne(const Sample& s, bool live);
+  // Hands every shard's staged run to its worker: once per Submit,
+  // SubmitBatch and replayed WAL record, so no sample waits for a close.
+  void PublishShards();
   void CloseThrough(std::int64_t target_day);
   bool WalLive() const noexcept {
     return wal_ != nullptr && wal_->is_open() && !degraded_ && !replaying_;

@@ -327,6 +327,33 @@ TEST(ConcurrencyTree, RealTreeRolesActuallyBind) {
       << "thread-role pass no longer sees IngestShard's worker writes";
 }
 
+TEST(ConcurrencyTree, RingStagingCursorOwnershipBinds) {
+  // The same guard for the ring's staging cursor: hand it to the shard
+  // worker and the event loop's staging writes (Submit -> SubmitOne ->
+  // PushSample -> Stage) must be caught.
+  const std::string root(MANIC_SOURCE_DIR);
+  std::string error;
+  ConcurrencySpec spec = LoadConcurrencySpec(
+      root + "/tools/manic_lint/concurrency.txt", &error);
+  ASSERT_TRUE(spec.loaded) << error;
+  ASSERT_EQ(spec.owned.count("SpscRing::staged_"), 1u);
+  EXPECT_EQ(spec.owned.at("SpscRing::staged_"), "event-loop");
+  spec.owned["SpscRing::staged_"] = "shard-worker";
+  const TreeAnalysis analysis =
+      AnalyzeTree({root + "/src/serve"}, nullptr, nullptr, nullptr, &spec);
+  int cross_role = 0;
+  for (const Finding& f : analysis.findings) {
+    if (f.rule == "thread-role" &&
+        f.message.find("staged_") != std::string::npos &&
+        f.message.find("written from role 'event-loop'") !=
+            std::string::npos) {
+      ++cross_role;
+    }
+  }
+  EXPECT_GE(cross_role, 1)
+      << "thread-role pass no longer sees the event loop staging samples";
+}
+
 TEST(ConcurrencyTree, JsonReportCarriesSchemaVersion5) {
   const std::string json =
       RenderJson({}, 3, {{"concurrency", 1}, {"atomic-order", 1}});

@@ -14,10 +14,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "infer/rolling.h"
@@ -130,16 +135,115 @@ TEST(SpscRing, TryPushFailsWhenFull) {
   EXPECT_EQ(ring.SizeApprox(), 2u);
 }
 
+// Bounded join for the threaded ring tests: a lost wake or an unpublished
+// run deadlocks both endpoints, and no thread can be cancelled, so the test
+// binary fails at once instead of running into the ctest timeout.
+void WaitOrAbort(std::future<void>& task, std::chrono::seconds limit,
+                 const char* what) {
+  if (task.wait_for(limit) == std::future_status::ready) return;
+  std::fprintf(stderr, "%s\n", what);
+  std::abort();
+}
+
+TEST(SpscRing, StagedRunWrapsTheSlotArray) {
+  SpscRing<int> ring(8);
+  int out = 0;
+  // Move both cursors to slot 5 so the next run of 6 wraps past slot 7.
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.TryPush(-1));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.TryPop(&out));
+  for (int i = 0; i < 6; ++i) ring.Stage(i);
+  // Staged records stay invisible until the run is published.
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+  EXPECT_FALSE(ring.TryPop(&out));
+  ring.Publish();
+  EXPECT_EQ(ring.SizeApprox(), 6u);
+  std::vector<int> seen;
+  EXPECT_EQ(ring.DrainRun([&](int& v) { seen.push_back(v); }), 6u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+  EXPECT_EQ(ring.DrainRun([](int&) {}), 0u);
+}
+
+TEST(SpscRing, TryPopAndSizeApproxAgreeAfterADrain) {
+  SpscRing<int> ring(16);
+  for (int i = 0; i < 10; ++i) ring.Stage(i);
+  ring.Publish();
+  int out = 0;
+  ASSERT_TRUE(ring.TryPop(&out));
+  EXPECT_EQ(out, 0);
+  EXPECT_EQ(ring.SizeApprox(), 9u);
+  std::vector<int> seen;
+  EXPECT_EQ(ring.DrainRun([&](int& v) { seen.push_back(v); }), 9u);
+  EXPECT_EQ(seen.front(), 1);
+  EXPECT_EQ(seen.back(), 9);
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+  EXPECT_FALSE(ring.TryPop(&out));
+  // A later run lands behind the drained one.
+  ring.Stage(42);
+  ring.Publish();
+  EXPECT_EQ(ring.SizeApprox(), 1u);
+  ASSERT_TRUE(ring.TryPop(&out));
+  EXPECT_EQ(out, 42);
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+}
+
+// The producer stages a run four times the ring's capacity and publishes
+// only at the end; without publish-before-wait it would park on a full ring
+// the consumer cannot see, and both threads would hang. The bounded wait
+// turns that hang into a fast failure.
+TEST(SpscRing, RunLongerThanCapacityReachesALiveConsumer) {
+  SpscRing<std::uint64_t> ring(16);
+  constexpr std::uint64_t kCount = 64;
+  std::vector<std::uint64_t> seen;
+  std::thread consumer([&] {
+    while (seen.size() < kCount) {
+      ring.DrainRunBlocking([&](std::uint64_t& v) { seen.push_back(v); });
+    }
+  });
+  auto producer = std::async(std::launch::async, [&] {
+    for (std::uint64_t i = 0; i < kCount; ++i) ring.Stage(i);
+    ring.Publish();
+  });
+  WaitOrAbort(producer, std::chrono::seconds(5),
+              "producer parked on a full ring it never published");
+  consumer.join();
+  ASSERT_EQ(seen.size(), kCount);
+  for (std::uint64_t i = 0; i < kCount; ++i) EXPECT_EQ(seen[i], i);
+}
+
+// Mixed run lengths around the 64-slot capacity (shorter, equal, longer),
+// drained in runs: every record arrives exactly once and in order.
 TEST(SpscRing, BlockingStressTransfersEverything) {
   SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kCount = 200000;
-  std::uint64_t sum = 0;
+  constexpr std::uint64_t kRuns[] = {1, 3, 63, 64, 65, 200};
+  constexpr int kRounds = 300;
+  std::uint64_t count = 0;
+  for (const std::uint64_t run : kRuns) count += run;
+  count *= kRounds;
+  std::uint64_t received = 0;
+  bool in_order = true;
   std::thread consumer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i) sum += ring.PopBlocking();
+    while (received < count) {
+      ring.DrainRunBlocking([&](std::uint64_t& v) {
+        in_order = in_order && v == received + 1;
+        ++received;
+      });
+    }
   });
-  for (std::uint64_t i = 1; i <= kCount; ++i) ring.Push(i);
+  auto producer = std::async(std::launch::async, [&] {
+    std::uint64_t next = 1;
+    for (int round = 0; round < kRounds; ++round) {
+      for (const std::uint64_t run : kRuns) {
+        for (std::uint64_t i = 0; i < run; ++i) ring.Stage(next++);
+        ring.Publish();
+      }
+    }
+  });
+  WaitOrAbort(producer, std::chrono::seconds(60),
+              "producer stuck: a staged run never became visible");
   consumer.join();
-  EXPECT_EQ(sum, kCount * (kCount + 1) / 2);
+  EXPECT_EQ(received, count);
+  EXPECT_TRUE(in_order);
 }
 
 // ----------------------------------------------------------------- codec
@@ -699,6 +803,148 @@ TEST(CongestionService, DropsAndCountsLateSamples) {
   EXPECT_EQ(dirty.VerdictLogText(), clean.VerdictLogText());
   clean.Stop();
   dirty.Stop();
+}
+
+// ------------------------------------------------ run handover to shards
+
+// Submits `batches` in order and returns the finished service's log and
+// stats. A tiny ring forces the producer to publish-and-park mid-batch.
+struct FedRun {
+  std::string log;
+  ServiceStats stats;
+};
+
+FedRun FeedBatches(int shards, const std::vector<std::vector<Sample>>& batches,
+                   bool one_by_one) {
+  ServiceConfig config = SmallServiceConfig(shards);
+  config.ring_capacity = 4;
+  CongestionService service(config);
+  service.Start();
+  for (const std::vector<Sample>& batch : batches) {
+    if (one_by_one) {
+      for (const Sample& s : batch) (void)service.Submit(s);
+    } else {
+      (void)service.SubmitBatch(batch);
+    }
+  }
+  service.FinishStream();
+  FedRun run{service.VerdictLogText(), service.Stats()};
+  service.Stop();
+  return run;
+}
+
+TEST(CongestionService, BatchBoundariesDoNotChangeTheLog) {
+  // Six links (so at 4 shards every shard owns one) x 2 VPs x 9 days,
+  // seeded through the row generator's hash key.
+  constexpr std::uint64_t kSeed = 0x5eed;
+  std::vector<Sample> stream;
+  std::vector<float> far, near;
+  for (std::int64_t day = 0; day < 9; ++day) {
+    for (topo::LinkId link = 1; link <= 6; ++link) {
+      for (topo::VpId vp = 1; vp <= 2; ++vp) {
+        DayRows(kSeed ^ (link * 1000 + vp), day, link % 2 == 0, far, near);
+        RowsToSamples(link, vp, day, far, near, &stream);
+      }
+    }
+  }
+  // One straggler for long-closed day 1, arriving as day 6 opens.
+  const auto day6 = std::find_if(stream.begin(), stream.end(),
+                                 [](const Sample& s) {
+                                   return stats::DayOf(s.t) == 6;
+                                 });
+  stream.insert(day6, {stats::kSecPerDay + 7, 3, 1, SampleKind::kFarRtt,
+                       99.0f});
+
+  // Pair-day batches (each run of one day, link and VP), except that all of
+  // days 3 and 4 go in one batch: it crosses midnight with samples for
+  // every shard on both sides.
+  std::vector<std::vector<Sample>> pair_days;
+  const auto key = [](const Sample& s) {
+    const std::int64_t day = stats::DayOf(s.t);
+    if (day == 3 || day == 4) {
+      return std::make_tuple(std::int64_t{3}, topo::LinkId{0}, topo::VpId{0});
+    }
+    return std::make_tuple(day, s.link, s.vp);
+  };
+  for (const Sample& s : stream) {
+    if (pair_days.empty() || key(pair_days.back().back()) != key(s)) {
+      pair_days.emplace_back();
+    }
+    pair_days.back().push_back(s);
+  }
+  // 7 other days x 12 pairs, the midnight-crossing batch, the straggler.
+  ASSERT_EQ(pair_days.size(), 7u * 12u + 2u);
+
+  const FedRun reference = FeedBatches(1, {stream}, /*one_by_one=*/true);
+  EXPECT_EQ(reference.stats.samples_late, 1u);
+  EXPECT_EQ(reference.stats.last_closed_day, 8);
+  EXPECT_NE(reference.log.find("recurring=1"), std::string::npos);
+  for (const int shards : {1, 4}) {
+    for (const auto& [name, run] :
+         {std::make_pair("sample by sample",
+                         FeedBatches(shards, {stream}, true)),
+          std::make_pair("one batch", FeedBatches(shards, {stream}, false)),
+          std::make_pair("pair-day batches",
+                         FeedBatches(shards, pair_days, false))}) {
+      ServiceStats stats = run.stats;
+      EXPECT_EQ(stats.shards, static_cast<std::uint32_t>(shards));
+      stats.shards = reference.stats.shards;
+      EXPECT_EQ(run.log, reference.log) << name << " at " << shards;
+      EXPECT_EQ(stats, reference.stats) << name << " at " << shards;
+    }
+  }
+}
+
+// Polls (for at most ~5 s) until the shard workers have stored `expected`
+// raw points; a run left staged on a ring never arrives, and the bounded
+// wait reports it.
+bool RawPointsArrive(const CongestionService& service,
+                     std::uint64_t expected) {
+  for (int poll = 0; poll < 5000; ++poll) {
+    if (service.Stats().raw_points == expected) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST(CongestionService, SubmitAndRecoveryHandRunsOverWithoutAClose) {
+  // Day 0 only: nothing closes, so only the per-call publish can carry the
+  // samples to the workers.
+  const std::vector<Sample> day0 = SyntheticStream(/*links=*/4, /*days=*/1);
+  std::uint64_t points = 0;
+  for (const Sample& s : day0) {
+    points += s.kind == SampleKind::kFarRtt || s.kind == SampleKind::kNearRtt;
+  }
+  ASSERT_GT(points, 0u);
+  const std::string wal_dir =
+      ::testing::TempDir() + "/manic_serve_handover_wal";
+  std::filesystem::remove_all(wal_dir);
+  ServiceConfig config = SmallServiceConfig(2);
+  config.wal_dir = wal_dir;
+  config.wal_fsync = WalFsync::kNone;
+  {
+    CongestionService service(config);
+    service.Start();
+    ASSERT_TRUE(service.RecoverFromWal().ok);  // empty log: opens a segment
+    EXPECT_EQ(service.SubmitBatch(day0).accepted, day0.size());
+    EXPECT_TRUE(RawPointsArrive(service, points))
+        << "SubmitBatch returned with samples still staged";
+    EXPECT_EQ(service.LastClosedDay(), kNoDayClosed);
+    ASSERT_EQ(service.CloseWalClean(), WalStatus::kOk);
+    service.Stop();
+  }
+  {
+    CongestionService recovered(config);
+    recovered.Start();
+    const WalRecoverStats stats = recovered.RecoverFromWal();
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_EQ(stats.samples, day0.size());
+    EXPECT_TRUE(RawPointsArrive(recovered, points))
+        << "RecoverFromWal returned with replayed samples still staged";
+    EXPECT_EQ(recovered.LastClosedDay(), kNoDayClosed);
+    recovered.Stop();
+  }
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST(ReplayFile, RejectsOutOfBoundsTimestamps) {
