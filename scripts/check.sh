@@ -27,7 +27,9 @@
 #      tests (staged runs, wrap-around, runs longer than the ring against a
 #      live consumer) and the CongestionService tests (batch-boundary
 #      equivalence on a 4-slot ring, run handover after submit and WAL
-#      recovery), plus the faulted
+#      recovery), the ServiceWal and WalRecovery tests (the shards finalize
+#      a day while the producer syncs its close marker; crash recovery,
+#      ENOSPC degradation, and the streamed WAL reader), plus the faulted
 #      chaos study through the full serving plane (--serve, 4 ingest
 #      shards: daemon event loop, shard workers, and the query plane all
 #      under TSan) and a crashloop kill/recover cycle (WAL replay and the
@@ -158,12 +160,12 @@ grep -q '"samples_per_sec"' "$OUT_DIR/BENCH_check.json" || {
 scripts/perf_compare.sh "$OUT_DIR/BENCH_check.json"
 echo "perf gate OK (report: $OUT_DIR/BENCH_check.json)."
 
-stage "[5/6] sanitizer builds: TSan runtime/driver/ring/service tests + serve chaos study, UBSan full suite"
+stage "[5/6] sanitizer builds: TSan runtime/driver/ring/service/WAL tests + serve chaos study, UBSan full suite"
 cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
-  test_serve example_continental_study crashloop
+  test_serve test_serve_wal example_continental_study crashloop
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|CongestionService'
+  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|CongestionService|ServiceWal|WalRecovery'
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
 # collector handshake, exercised by the faulted chaos study end to end.
 ./build-tsan/examples/example_continental_study 45 4 4 \

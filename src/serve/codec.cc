@@ -78,17 +78,6 @@ void StoreLE(char** dst, U word) {
   *dst = raw + sizeof(U);
 }
 
-bool GetSample(Decoder* d, Sample* s) {
-  std::uint8_t kind = 0;
-  if (!d->GetI64(&s->t) || !d->GetU32(&s->link) || !d->GetU32(&s->vp) ||
-      !d->GetU8(&kind) || !d->GetF32(&s->value)) {
-    return false;
-  }
-  if (kind > kMaxSampleKind) return false;
-  s->kind = static_cast<SampleKind>(kind);
-  return true;
-}
-
 void PutVerdict(Encoder* e, const VerdictRecord& v) {
   e->PutI64(v.day);
   e->PutU32(v.link);
@@ -180,12 +169,6 @@ bool Decoder::GetI64(std::int64_t* v) {
   *v = static_cast<std::int64_t>(u);
   return true;
 }
-bool Decoder::GetF32(float* v) {
-  std::uint32_t u = 0;
-  if (!GetU32(&u)) return false;
-  *v = std::bit_cast<float>(u);
-  return true;
-}
 bool Decoder::GetF64(double* v) {
   std::uint64_t u = 0;
   if (!GetU64(&u)) return false;
@@ -220,24 +203,35 @@ void FrameAssembler::Feed(std::string_view bytes) {
   buf_.append(bytes);
 }
 
+FrameParse ParseFrame(std::string_view bytes, FrameView* frame) {
+  if (bytes.size() < 4) return FrameParse::kNeedMore;
+  const std::uint32_t len = GetLE<std::uint32_t>(bytes.data());
+  if (len == 0 || len > kMaxFramePayload + 1) return FrameParse::kCorrupt;
+  const std::size_t size = 4 + static_cast<std::size_t>(len);
+  if (bytes.size() < size) return FrameParse::kNeedMore;
+  const auto raw_type = static_cast<std::uint8_t>(bytes[4]);
+  if (!ValidMsgType(raw_type)) return FrameParse::kCorrupt;
+  frame->type = static_cast<MsgType>(raw_type);
+  frame->payload = bytes.substr(5, len - 1);
+  frame->size = size;
+  return FrameParse::kFrame;
+}
+
 bool FrameAssembler::Next(MsgType* type, std::string* payload) {
   if (corrupt_) return false;
-  if (buf_.size() - pos_ < 4) return false;
-  const std::uint32_t len = GetLE<std::uint32_t>(buf_.data() + pos_);
-  if (len == 0 || len > kMaxFramePayload + 1) {
-    corrupt_ = true;
-    return false;
+  FrameView frame;
+  switch (ParseFrame(std::string_view(buf_).substr(pos_), &frame)) {
+    case FrameParse::kNeedMore:
+      return false;
+    case FrameParse::kCorrupt:
+      corrupt_ = true;
+      return false;
+    case FrameParse::kFrame:
+      break;
   }
-  if (buf_.size() - pos_ < 4 + static_cast<std::size_t>(len)) return false;
-  const std::uint8_t raw_type =
-      static_cast<std::uint8_t>(buf_[pos_ + 4]);
-  if (!ValidMsgType(raw_type)) {
-    corrupt_ = true;
-    return false;
-  }
-  *type = static_cast<MsgType>(raw_type);
-  payload->assign(buf_, pos_ + 5, len - 1);
-  pos_ += 4 + static_cast<std::size_t>(len);
+  *type = frame.type;
+  payload->assign(frame.payload);
+  pos_ += frame.size;
   return true;
 }
 
@@ -296,22 +290,41 @@ void EncodeSubmitBatchTo(std::span<const Sample> samples, std::string* out) {
   }
 }
 
+// Field offsets inside one encoded Sample, [i64 t][u32 link][u32 vp]
+// [u8 kind][f32 value]. Each assert ties an offset to the width of the
+// field before it, so widening a Sample field without a format bump does
+// not compile.
+constexpr std::size_t kSampleLinkAt = 8;
+constexpr std::size_t kSampleVpAt = 12;
+constexpr std::size_t kSampleKindAt = 16;
+constexpr std::size_t kSampleValueAt = 17;
+static_assert(sizeof(Sample::t) == kSampleLinkAt);
+static_assert(kSampleLinkAt + sizeof(Sample::link) == kSampleVpAt);
+static_assert(kSampleVpAt + sizeof(Sample::vp) == kSampleKindAt);
+static_assert(kSampleKindAt + sizeof(Sample::kind) == kSampleValueAt);
+static_assert(kSampleValueAt + sizeof(Sample::value) == kWireSampleBytes);
+
 bool DecodeSubmitBatch(std::string_view payload, std::vector<Sample>* out) {
-  Decoder d(payload);
-  std::uint32_t count = 0;
-  if (!d.GetU32(&count)) return false;
-  // Fixed bytes per encoded sample; reject counts the payload cannot hold.
-  if (payload.size() < 4 + static_cast<std::size_t>(count) * kWireSampleBytes) {
+  if (payload.size() < 4) return false;
+  const std::uint32_t count = GetLE<std::uint32_t>(payload.data());
+  // Samples encode at a fixed width: the count must account for every
+  // payload byte, so each record below is read by offset, unchecked.
+  if (payload.size() - 4 != static_cast<std::size_t>(count) * kWireSampleBytes) {
     return false;
   }
-  out->clear();
-  out->reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Sample s;
-    if (!GetSample(&d, &s)) return false;
-    out->push_back(s);
+  out->resize(count);
+  const char* record = payload.data() + 4;
+  for (Sample& s : *out) {
+    const auto kind = static_cast<std::uint8_t>(record[kSampleKindAt]);
+    if (kind > kMaxSampleKind) return false;
+    s.t = static_cast<TimeSec>(GetLE<std::uint64_t>(record));
+    s.link = GetLE<std::uint32_t>(record + kSampleLinkAt);
+    s.vp = GetLE<std::uint32_t>(record + kSampleVpAt);
+    s.kind = static_cast<SampleKind>(kind);
+    s.value = std::bit_cast<float>(GetLE<std::uint32_t>(record + kSampleValueAt));
+    record += kWireSampleBytes;
   }
-  return d.AtEnd();
+  return true;
 }
 
 std::string EncodeSubmitAck(std::uint64_t accepted) {

@@ -115,7 +115,6 @@ class Decoder {
   bool GetU32(std::uint32_t* v);
   bool GetU64(std::uint64_t* v);
   bool GetI64(std::int64_t* v);
-  bool GetF32(float* v);
   bool GetF64(double* v);
   bool GetBytes(std::size_t n, std::string_view* out);
 
@@ -133,10 +132,31 @@ class Decoder {
 
 std::string EncodeFrame(MsgType type, std::string_view payload);
 
+// Outcome of parsing the frame at the front of a byte view.
+enum class [[nodiscard]] FrameParse : std::uint8_t {
+  kFrame,     // a complete frame; *frame is filled in
+  kNeedMore,  // the bytes end inside the frame (or its header)
+  kCorrupt,   // zero or oversized length, or an unknown message type
+};
+
+// One complete frame, viewed in place: `payload` points into the parsed
+// bytes, `size` counts the header too.
+struct FrameView {
+  MsgType type = MsgType::kError;
+  std::string_view payload;
+  std::size_t size = 0;
+};
+
+// The one implementation of v1 framing, shared by the stream assembler and
+// WAL recovery. The length is judged as soon as its 4 bytes are present;
+// the type byte only once the whole frame is, so a frame cut short reads
+// as kNeedMore whatever its type byte holds.
+FrameParse ParseFrame(std::string_view bytes, FrameView* frame);
+
 // Reassembles frames from an arbitrarily fragmented byte stream. Feed bytes
 // as they arrive; Next() yields complete frames until more input is needed.
-// A frame whose length field is zero or exceeds the protocol bound poisons
-// the stream permanently (corrupt()).
+// A frame ParseFrame calls corrupt poisons the stream permanently
+// (corrupt()).
 class FrameAssembler {
  public:
   void Feed(std::string_view bytes);

@@ -243,20 +243,24 @@ std::int64_t CongestionService::FinishStream() {
 void CongestionService::CloseThrough(std::int64_t target_day) {
   while (producer_last_closed_ < target_day) {
     const std::int64_t day = producer_last_closed_ + 1;
+    // Broadcast the in-band close marker first, so the shards finalize the
+    // day while the producer makes it durable below. Every sample that can
+    // contribute is already staged ahead of the marker (publish-before-
+    // marker), and a shard's result is invisible until the publish at the
+    // end of this iteration.
+    for (auto& shard : shards_) shard->PushCloseDay(day);
     if (WalLive()) {
       // Durability order: every sample that can contribute to this close,
-      // then the close marker, then (below) the verdicts publish. A crash
-      // before the marker recovers to "day still open" — the verdicts were
-      // never acknowledged to anyone.
+      // then the close marker (fsynced under kDayClose), then (below) the
+      // verdicts publish. A crash before the marker recovers to "day still
+      // open" — the verdicts were never acknowledged to anyone.
       if (FlushWalPending() != WalStatus::kOk ||
           wal_->AppendClose(day) != WalStatus::kOk) {
         EnterDegraded();
       }
     }
-    // Broadcast the in-band close marker, then wait for every shard to
-    // deposit; collecting before the next close is what keeps the deposit
-    // slots race-free (see ingest.h).
-    for (auto& shard : shards_) shard->PushCloseDay(day);
+    // Wait for every shard to deposit; collecting before the next close is
+    // what keeps the deposit slots race-free (see ingest.h).
     std::vector<VerdictRecord> merged;
     std::map<topo::LinkId, infer::DataQuality> quality;
     for (auto& shard : shards_) {

@@ -14,8 +14,12 @@
 //   live mode    PollClock() closes every day that ended before clock-now;
 //   end of stream FinishStream() closes through the watermark day itself.
 // All three funnel into the same CloseThrough: push an in-band kCloseDay
-// marker to every shard, wait for each shard's acknowledgment, collect and
-// merge the deposited verdicts, append to the log. Submit and the close
+// marker to every shard, make the day durable in the WAL (pending samples,
+// then the close marker and its fdatasync) while the shards finalize, wait
+// for each shard's acknowledgment, collect and merge the deposited
+// verdicts, append to the log. A day's verdicts therefore publish only
+// after its marker is durable, and the close costs the longer of the sync
+// and the shards' finalize, not their sum. Submit and the close
 // path are single-producer (one thread — the daemon event loop); queries
 // may come from any thread.
 #pragma once
@@ -159,6 +163,9 @@ class CongestionService {
   // Hands every shard's staged run to its worker: once per Submit,
   // SubmitBatch and replayed WAL record, so no sample waits for a close.
   void PublishShards();
+  // Closes each day through target_day in order (see the header comment):
+  // markers out to the shards, WAL marker synced while they finalize, then
+  // collect and publish.
   void CloseThrough(std::int64_t target_day);
   bool WalLive() const noexcept {
     return wal_ != nullptr && wal_->is_open() && !degraded_ && !replaying_;

@@ -7,8 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <vector>
 
 #include "serve/codec.h"
@@ -211,6 +213,141 @@ void WalWriter::Abandon() {
   }
 }
 
+namespace {
+
+// How one segment's replay ended.
+enum class SegmentEnd : std::uint8_t {
+  kReplayed,  // every complete record replayed, any torn tail chopped
+  kStub,      // a final segment killed before its magic: removed
+  kFailed,    // stats->error says why
+};
+
+// A read-only descriptor, closed on every exit — a throwing callback too.
+struct ReadOnlyFd {
+  explicit ReadOnlyFd(const std::string& path)
+      : fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~ReadOnlyFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  ReadOnlyFd(const ReadOnlyFd&) = delete;
+  ReadOnlyFd& operator=(const ReadOnlyFd&) = delete;
+  const int fd = -1;
+};
+
+// One read() into dst; retries EINTR. Returns the bytes read (0 at EOF),
+// or -1 on a read error — which must never pass for EOF: a short read
+// would look like a torn tail and truncate durable records.
+ssize_t ReadSome(int fd, char* dst, std::size_t len) {
+  for (;;) {
+    const ssize_t n = ::read(fd, dst, len);
+    if (n >= 0 || errno != EINTR) return n;
+  }
+}
+
+// Streams one segment through `buf` (one chunk plus the largest legal
+// frame, reused across segments): each chunk is parsed in place and a
+// frame cut by the chunk end is carried to the front for the next read.
+SegmentEnd ReplaySegment(
+    int fd, const std::string& path, bool last, char* buf,
+    std::vector<Sample>* batch,
+    const std::function<void(std::span<const Sample>)>& on_samples,
+    const std::function<void(std::int64_t)>& on_close,
+    WalRecoverStats* stats) {
+  std::size_t begin = 0;      // unparsed bytes are buf[begin, end)
+  std::size_t end = 0;
+  std::uint64_t file_bytes = 0;
+  bool magic_seen = false;
+  for (;;) {
+    if (begin != 0) {
+      std::memmove(buf, buf + begin, end - begin);
+      end -= begin;
+      begin = 0;
+    }
+    const ssize_t n = ReadSome(fd, buf + end, kWalReadChunkBytes);
+    if (n < 0) {
+      stats->error = "cannot read wal segment " + path;
+      return SegmentEnd::kFailed;
+    }
+    if (n == 0) break;
+    end += static_cast<std::size_t>(n);
+    file_bytes += static_cast<std::uint64_t>(n);
+    if (!magic_seen) {
+      if (end < kMagicLen) continue;
+      if (std::memcmp(buf, kMagic, kMagicLen) != 0) {
+        stats->error = "bad magic in wal segment " + path;
+        return SegmentEnd::kFailed;
+      }
+      magic_seen = true;
+      begin = kMagicLen;
+    }
+    FrameView frame;
+    for (;;) {
+      const FrameParse parsed =
+          ParseFrame(std::string_view(buf + begin, end - begin), &frame);
+      if (parsed == FrameParse::kNeedMore) break;
+      if (parsed == FrameParse::kCorrupt) {
+        stats->error = "corrupt framing in " + path;
+        return SegmentEnd::kFailed;
+      }
+      begin += frame.size;
+      if (frame.type == MsgType::kSubmitBatch) {
+        if (!DecodeSubmitBatch(frame.payload, batch)) {
+          stats->error = "malformed sample record in " + path;
+          return SegmentEnd::kFailed;
+        }
+        ++stats->records;
+        stats->samples += batch->size();
+        on_samples(*batch);
+      } else if (frame.type == MsgType::kFlushAck) {
+        std::int64_t day = 0;
+        if (!DecodeFlushAck(frame.payload, &day)) {
+          stats->error = "malformed day-close marker in " + path;
+          return SegmentEnd::kFailed;
+        }
+        ++stats->records;
+        ++stats->closes;
+        on_close(day);
+      } else {
+        stats->error = "foreign frame type in " + path;
+        return SegmentEnd::kFailed;
+      }
+    }
+  }
+  std::error_code ec;
+  if (!magic_seen) {
+    // A crash while stamping the magic of a fresh segment: nothing was
+    // ever durable here. Anywhere else it is damage.
+    if (!last) {
+      stats->error = "short wal segment " + path;
+      return SegmentEnd::kFailed;
+    }
+    stats->truncated_bytes += file_bytes;
+    std::filesystem::remove(path, ec);
+    return SegmentEnd::kStub;
+  }
+  const std::size_t leftover = end - begin;
+  if (leftover != 0) {
+    if (!last) {
+      // A torn record can only live at the very tail of the log: one in
+      // the middle means the files were damaged, not just interrupted.
+      stats->error = "torn record inside non-final segment " + path;
+      return SegmentEnd::kFailed;
+    }
+    // The kill-mid-append signature. Chop it off the file, not just the
+    // parse: the next incarnation appends to a fresh segment, but an
+    // operator concatenating segments must never see half a record.
+    stats->truncated_bytes += leftover;
+    std::filesystem::resize_file(path, file_bytes - leftover, ec);
+    if (ec) {
+      stats->error = "cannot truncate torn tail of " + path;
+      return SegmentEnd::kFailed;
+    }
+  }
+  return SegmentEnd::kReplayed;
+}
+
+}  // namespace
+
 WalRecoverStats ReadWal(
     const std::string& dir,
     const std::function<void(std::span<const Sample>)>& on_samples,
@@ -223,82 +360,24 @@ WalRecoverStats ReadWal(
   }
   stats.clean_shutdown = std::filesystem::exists(CleanMarkerPath(dir), ec);
   const auto segments = ListSegments(dir);
+  // A frame carried over from one chunk is shorter than the largest legal
+  // frame, so one chunk past it always fits. Left uninitialized: only the
+  // bytes a segment actually holds are ever touched.
+  const auto buf = std::make_unique_for_overwrite<char[]>(
+      kWalReadChunkBytes + WalRecordHeader::kEncodedSize + kMaxFramePayload);
   std::vector<Sample> batch;
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const bool last = i + 1 == segments.size();
     const std::string& path = segments[i].second;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    const ReadOnlyFd segment(path);
+    if (segment.fd < 0) {
       stats.error = "cannot open wal segment " + path;
       return stats;
     }
-    std::string data((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    is.close();
-    if (data.size() < kMagicLen) {
-      // A crash while stamping the magic of a fresh segment: nothing was
-      // ever durable here. Anywhere else it is damage.
-      if (!last) {
-        stats.error = "short wal segment " + path;
-        return stats;
-      }
-      stats.truncated_bytes += data.size();
-      std::filesystem::remove(path, ec);
-      break;
-    }
-    if (data.compare(0, kMagicLen, kMagic, kMagicLen) != 0) {
-      stats.error = "bad magic in wal segment " + path;
-      return stats;
-    }
-    FrameAssembler assembler;
-    assembler.Feed(std::string_view(data).substr(kMagicLen));
-    MsgType type;
-    std::string payload;
-    while (assembler.Next(&type, &payload)) {
-      if (type == MsgType::kSubmitBatch) {
-        if (!DecodeSubmitBatch(payload, &batch)) {
-          stats.error = "malformed sample record in " + path;
-          return stats;
-        }
-        ++stats.records;
-        stats.samples += batch.size();
-        on_samples(batch);
-      } else if (type == MsgType::kFlushAck) {
-        std::int64_t day = 0;
-        if (!DecodeFlushAck(payload, &day)) {
-          stats.error = "malformed day-close marker in " + path;
-          return stats;
-        }
-        ++stats.records;
-        ++stats.closes;
-        on_close(day);
-      } else {
-        stats.error = "foreign frame type in " + path;
-        return stats;
-      }
-    }
-    if (assembler.corrupt()) {
-      stats.error = "corrupt framing in " + path;
-      return stats;
-    }
-    const std::size_t leftover = assembler.buffered();
-    if (leftover != 0) {
-      if (!last) {
-        // A torn record can only live at the very tail of the log: one in
-        // the middle means the files were damaged, not just interrupted.
-        stats.error = "torn record inside non-final segment " + path;
-        return stats;
-      }
-      // The kill-mid-append signature. Chop it off the file, not just the
-      // parse: the next incarnation appends to a fresh segment, but an
-      // operator concatenating segments must never see half a record.
-      stats.truncated_bytes += leftover;
-      std::filesystem::resize_file(path, data.size() - leftover, ec);
-      if (ec) {
-        stats.error = "cannot truncate torn tail of " + path;
-        return stats;
-      }
-    }
+    const SegmentEnd end = ReplaySegment(segment.fd, path, last, buf.get(),
+                                         &batch, on_samples, on_close, &stats);
+    if (end == SegmentEnd::kFailed) return stats;
+    if (end == SegmentEnd::kStub) break;
     ++stats.segments;
   }
   stats.ok = true;

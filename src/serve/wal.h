@@ -29,6 +29,7 @@
 // keeps serving queries instead of aborting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -132,14 +133,24 @@ class WalWriter {
   std::string frame_buf_;            // reused per-append encode buffer
 };
 
+// Bytes ReadWal asks read() for at a time. Recovery holds one chunk plus
+// the largest legal frame (kMaxFramePayload) whatever the segment size.
+inline constexpr std::size_t kWalReadChunkBytes = std::size_t{1} << 20;
+
 // Replays every complete record under `dir` in order: runs of samples to
-// `on_samples`, day-close markers to `on_close`. Chops a torn tail off the
-// newest segment (resize_file) so later appends land on a record boundary —
-// recovery is idempotent: a crash *during* recovery loses nothing, the next
-// attempt replays the identical record stream. Any malformation that is not
-// a torn tail (corrupt framing, a foreign frame type, torn bytes in a
-// non-final segment) fails with ok = false: the log is damaged, not merely
-// interrupted.
+// `on_samples`, day-close markers to `on_close`. Each segment streams
+// through one reused buffer in kWalReadChunkBytes reads; frames are parsed
+// in place by the daemon's own ParseFrame, a frame cut by a chunk end is
+// carried over to the next read, and samples decode straight from the
+// buffer into one reused batch (the span handed to `on_samples` is valid
+// only during the call).
+// Chops a torn tail off the newest segment (resize_file) so later appends
+// land on a record boundary — recovery is idempotent: a crash *during*
+// recovery loses nothing, the next attempt replays the identical record
+// stream. Any malformation that is not a torn tail (corrupt framing, a
+// foreign frame type, torn bytes in a non-final segment) fails with ok =
+// false: the log is damaged, not merely interrupted. So does a read error:
+// it is never taken for end of file, which would truncate durable records.
 WalRecoverStats ReadWal(
     const std::string& dir,
     const std::function<void(std::span<const Sample>)>& on_samples,

@@ -7,6 +7,8 @@
 // the deterministic I/O fault script itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -327,6 +329,160 @@ TEST(WalRecovery, ShortFinalSegmentIsRemovedNotFatal) {
   EXPECT_FALSE(fs::exists(dir.path + "/wal-000002.seg"));
 }
 
+// A read error is not end of file: a segment that cannot be read (here a
+// directory under a segment's name, whose read() fails with EISDIR) fails
+// recovery, and nothing is removed or truncated — as the final segment it
+// must not pass for a stub killed before its magic.
+TEST(WalRecovery, ReadErrorFailsRecoveryWithoutTruncating) {
+  for (const bool final_segment : {true, false}) {
+    WalDir dir(final_segment ? "read_error_final" : "read_error_mid");
+    WalConfig config;
+    config.dir = dir.path;
+    {
+      WalWriter writer;
+      ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+      ASSERT_EQ(writer.AppendSamples(SmallBatch(1, 3)), WalStatus::kOk);
+      writer.Abandon();
+    }
+    const std::string unreadable = dir.path + "/wal-000002.seg";
+    ASSERT_TRUE(fs::create_directory(unreadable));
+    if (!final_segment) {
+      WalWriter writer;  // opens wal-000003.seg past the directory
+      ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+      ASSERT_EQ(writer.AppendSamples(SmallBatch(2, 3)), WalStatus::kOk);
+      writer.Abandon();
+      ASSERT_TRUE(fs::exists(dir.path + "/wal-000003.seg"));
+    }
+    const auto first_size = fs::file_size(dir.path + "/wal-000001.seg");
+    const WalRecoverStats stats = ReadWal(
+        dir.path, [](std::span<const Sample>) {}, [](std::int64_t) {});
+    EXPECT_FALSE(stats.ok) << "final " << final_segment;
+    EXPECT_NE(stats.error.find("cannot read wal segment"), std::string::npos)
+        << stats.error;
+    EXPECT_EQ(stats.truncated_bytes, 0u);
+    EXPECT_TRUE(fs::is_directory(unreadable));
+    EXPECT_EQ(fs::file_size(dir.path + "/wal-000001.seg"), first_size);
+  }
+}
+
+// Recovery reads kWalReadChunkBytes at a time and carries a frame cut by a
+// chunk end over to the next read. Records are laid out so chunk ends fall
+// inside a length field, between the length field and the type byte,
+// exactly after a header, and through a frame several chunks long (the
+// largest submit batch a frame can carry); the replayed stream must be the
+// appended one, bit for bit. Cutting the file inside that long frame must
+// then chop exactly the torn frame off.
+TEST(WalRecovery, RecordsStraddlingChunkBoundariesReplayIdentically) {
+  struct Record {
+    bool close = false;
+    std::int64_t day = 0;
+    std::vector<Sample> samples;
+  };
+  constexpr std::size_t kChunk = kWalReadChunkBytes;
+  constexpr std::size_t kCloseBytes = 13;     // header + i64 day
+  constexpr std::size_t kBatchHeader = 9;     // header + u32 count
+  constexpr std::size_t kSampleBytes = 21;
+  WalDir dir("chunks");
+  WalConfig config;
+  config.dir = dir.path;
+  WalWriter writer;
+  ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+  std::vector<Record> written;
+  std::size_t offset = 10;  // the segment magic
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  const auto append_batch = [&](std::size_t count) {
+    Record r;
+    for (std::size_t i = 0; i < count; ++i) {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      Sample s;
+      s.t = static_cast<std::int64_t>(rng >> 20) - (std::int64_t{1} << 40);
+      s.link = static_cast<topo::LinkId>(rng >> 7);
+      s.vp = static_cast<topo::VpId>(rng >> 29);
+      s.kind = static_cast<SampleKind>((rng >> 61) % 5);
+      s.value = static_cast<float>(rng >> 40) * 0.001f;
+      r.samples.push_back(s);
+    }
+    ASSERT_EQ(writer.AppendSamples(r.samples), WalStatus::kOk);
+    offset += kBatchHeader + kSampleBytes * count;
+    written.push_back(std::move(r));
+  };
+  const auto append_close = [&](std::int64_t day) {
+    ASSERT_EQ(writer.AppendClose(day), WalStatus::kOk);
+    offset += kCloseBytes;
+    written.push_back(Record{true, day, {}});
+  };
+  // Closes plus one batch ending exactly at `target` (13 and 21 are
+  // coprime, so some close count in [0, 21) fits any distance).
+  const auto pad_to = [&](std::size_t target) {
+    for (std::size_t closes = 0; closes < kSampleBytes; ++closes) {
+      const std::size_t rest = target - offset - closes * kCloseBytes;
+      if ((rest - kBatchHeader) % kSampleBytes != 0) continue;
+      for (std::size_t c = 0; c < closes; ++c) {
+        append_close(static_cast<std::int64_t>(written.size()));
+      }
+      append_batch((rest - kBatchHeader) / kSampleBytes);
+      return;
+    }
+    ADD_FAILURE() << "no record mix ends at offset " << target;
+  };
+  pad_to(kChunk - 1);  // the next length field: 1 byte, then 3 bytes
+  append_batch(50);
+  pad_to(2 * kChunk - 4);  // the next header: length | type
+  append_close(-7);
+  pad_to(3 * kChunk - 5);  // the next header ends exactly at the chunk end
+  const std::size_t long_frame_at = offset;
+  const std::size_t long_count = (kMaxFramePayload - 4) / kSampleBytes;
+  ASSERT_GT(4 + (long_count + 1) * kSampleBytes, kMaxFramePayload);
+  append_batch(long_count);
+  const std::size_t records_before_long = written.size() - 1;
+  for (const std::size_t count : {1, 2, 3, 1000}) append_batch(count);
+  append_close(123456);
+  writer.Abandon();
+  const std::string segment = dir.path + "/wal-000001.seg";
+  ASSERT_EQ(fs::file_size(segment), offset);
+  ASSERT_GT(offset, long_frame_at + 4 * kChunk);
+
+  std::vector<Record> replayed;
+  WalRecoverStats stats = ReadWal(
+      dir.path,
+      [&](std::span<const Sample> batch) {
+        replayed.push_back(Record{false, 0, {batch.begin(), batch.end()}});
+      },
+      [&](std::int64_t day) { replayed.push_back(Record{true, day, {}}); });
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.truncated_bytes, 0u);
+  EXPECT_EQ(stats.records, written.size());
+  ASSERT_EQ(replayed.size(), written.size());
+  for (std::size_t r = 0; r < written.size(); ++r) {
+    const Record& want = written[r];
+    const Record& got = replayed[r];
+    ASSERT_EQ(got.close, want.close) << "record " << r;
+    ASSERT_EQ(got.day, want.day) << "record " << r;
+    ASSERT_EQ(got.samples.size(), want.samples.size()) << "record " << r;
+    for (std::size_t i = 0; i < want.samples.size(); ++i) {
+      const Sample& a = got.samples[i];
+      const Sample& b = want.samples[i];
+      ASSERT_TRUE(a.t == b.t && a.link == b.link && a.vp == b.vp &&
+                  a.kind == b.kind &&
+                  std::bit_cast<std::uint32_t>(a.value) ==
+                      std::bit_cast<std::uint32_t>(b.value))
+          << "record " << r << " sample " << i;
+    }
+  }
+
+  // Torn inside the long frame, two chunks past its start.
+  const std::size_t cut = long_frame_at + 2 * kChunk + 7;
+  fs::resize_file(segment, cut);
+  std::uint64_t records = 0;
+  stats = ReadWal(
+      dir.path, [&](std::span<const Sample>) { ++records; },
+      [&](std::int64_t) { ++records; });
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(records, records_before_long);
+  EXPECT_EQ(stats.truncated_bytes, cut - long_frame_at);
+  EXPECT_EQ(fs::file_size(segment), long_frame_at);
+}
+
 // ----------------------------------------------------- service integration
 
 // Uncrashed WAL-on run vs a "crash" (drop the service mid-stream without
@@ -394,6 +550,87 @@ TEST(ServiceWal, CrashRecoveryMatchesUncrashedRunByteForByte) {
     EXPECT_EQ(recovered.VerdictLogText(), want) << "shards " << shards;
     EXPECT_EQ(recovered.CloseWalClean(), WalStatus::kOk);
     recovered.Stop();
+  }
+}
+
+// Snapshots what the service has published at every fsync. Under
+// kDayClose with the default segment size, the syncs before CloseWalClean
+// are exactly the day-close markers, in day order.
+class PublishedAtSync final : public runtime::IoFaultHook {
+ public:
+  bool FsyncOkAt(std::uint64_t /*op*/) const override {
+    if (service != nullptr) {
+      closed.push_back(service->LastClosedDay());
+      logs.push_back(service->VerdictLogText());
+    }
+    return true;
+  }
+  const CongestionService* service = nullptr;
+  mutable std::vector<std::int64_t> closed;
+  mutable std::vector<std::string> logs;
+};
+
+// The log rows of days before `day` (rows are in close order).
+std::string LogBeforeDay(const std::string& log, std::int64_t day) {
+  std::string prefix;
+  std::size_t at = 0;
+  while (at < log.size()) {
+    const std::size_t eol = log.find('\n', at);
+    const std::string line = log.substr(at, eol + 1 - at);
+    if (std::stoll(line.substr(line.find("day=") + 4)) >= day) break;
+    prefix += line;
+    at = eol + 1;
+  }
+  return prefix;
+}
+
+// The shards finalize a day while its close marker syncs, but day d's
+// verdicts must still publish only after d's marker is durable: at the
+// sync of d's marker the service shows days before d and nothing of d.
+TEST(ServiceWal, DayIsNotPublishedBeforeItsMarkerSyncs) {
+  constexpr std::int64_t kDays = 9;
+  std::vector<Sample> stream;
+  for (std::int64_t day = 0; day < kDays; ++day) {
+    for (topo::LinkId link = 1; link <= 4; ++link) {
+      for (int slot = 0; slot < 24; ++slot) {
+        stream.push_back(MakeSample(day, slot, link));
+        stream.push_back(
+            MakeSample(day, slot, link, 1, SampleKind::kNearRtt));
+      }
+    }
+  }
+  for (const int shards : {1, 4}) {
+    WalDir dir("sync_order");
+    PublishedAtSync hook;
+    ServiceConfig config = WalServiceConfig(dir.path, shards);
+    config.wal_fsync = WalFsync::kDayClose;
+    config.wal_fault_hook = &hook;
+    CongestionService service(config);
+    ASSERT_TRUE(service.RecoverFromWal().ok);
+    hook.service = &service;
+    for (std::size_t offset = 0; offset < stream.size(); offset += 37) {
+      const std::size_t n = std::min<std::size_t>(37, stream.size() - offset);
+      ASSERT_EQ(service
+                    .SubmitBatch(
+                        std::span<const Sample>(stream.data() + offset, n))
+                    .accepted,
+                n);
+    }
+    EXPECT_EQ(service.FinishStream(), kDays - 1);
+    hook.service = nullptr;
+    const std::string log = service.VerdictLogText();
+    ASSERT_EQ(hook.closed.size(), static_cast<std::size_t>(kDays));
+    for (std::int64_t day = 0; day < kDays; ++day) {
+      const auto i = static_cast<std::size_t>(day);
+      EXPECT_EQ(hook.closed[i], day == 0 ? kNoDayClosed : day - 1)
+          << "shards " << shards << " day " << day;
+      EXPECT_EQ(hook.logs[i], LogBeforeDay(log, day))
+          << "shards " << shards << " day " << day;
+    }
+    // Non-vacuous: verdicts published between two marker syncs.
+    EXPECT_FALSE(hook.logs.back().empty()) << "shards " << shards;
+    EXPECT_EQ(service.CloseWalClean(), WalStatus::kOk);
+    service.Stop();
   }
 }
 
@@ -589,6 +826,83 @@ TEST(WalCodec, BufferReusingEncodersMatchTheAllocatingOnes) {
   std::string twice = to;
   EncodeFlushAckTo(1234, &twice);
   EXPECT_EQ(twice.size(), 2 * to.size());
+}
+
+// One kSubmitBatch frame, byte for byte: the WAL record format and the
+// wire format are the same bytes, so this pins both.
+TEST(WalCodec, SubmitBatchGoldenBytes) {
+  std::vector<Sample> batch(2);
+  batch[0].t = 259205;  // 0x3F485
+  batch[0].link = 7;
+  batch[0].vp = 2;
+  batch[0].kind = SampleKind::kNearRtt;
+  batch[0].value = 1.5f;  // 0x3FC00000
+  batch[1].t = -1;
+  batch[1].link = 0x01020304;
+  batch[1].vp = 9;
+  batch[1].kind = SampleKind::kLossRate;
+  batch[1].value = -0.25f;  // 0xBE800000
+  const std::string golden(
+      "\x2f\x00\x00\x00"                  // length: type + 46 payload bytes
+      "\x03"                              // kSubmitBatch
+      "\x02\x00\x00\x00"                  // count
+      "\x85\xf4\x03\x00\x00\x00\x00\x00"  // t
+      "\x07\x00\x00\x00"                  // link
+      "\x02\x00\x00\x00"                  // vp
+      "\x01"                              // kind
+      "\x00\x00\xc0\x3f"                  // value
+      "\xff\xff\xff\xff\xff\xff\xff\xff"
+      "\x04\x03\x02\x01"
+      "\x09\x00\x00\x00"
+      "\x04"
+      "\x00\x00\x80\xbe",
+      51);
+  EXPECT_EQ(EncodeSubmitBatch(batch), golden);
+  FrameView frame;
+  ASSERT_EQ(ParseFrame(golden, &frame), FrameParse::kFrame);
+  EXPECT_EQ(frame.type, MsgType::kSubmitBatch);
+  EXPECT_EQ(frame.size, golden.size());
+  std::vector<Sample> decoded;
+  ASSERT_TRUE(DecodeSubmitBatch(frame.payload, &decoded));
+  ASSERT_EQ(decoded.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(decoded[i].t, batch[i].t);
+    EXPECT_EQ(decoded[i].link, batch[i].link);
+    EXPECT_EQ(decoded[i].vp, batch[i].vp);
+    EXPECT_EQ(decoded[i].kind, batch[i].kind);
+    EXPECT_EQ(decoded[i].value, batch[i].value);
+  }
+  // The count must account for the payload exactly, and kinds stay bounded.
+  std::string payload(frame.payload);
+  EXPECT_FALSE(DecodeSubmitBatch(payload + '\0', &decoded));
+  EXPECT_FALSE(DecodeSubmitBatch(payload.substr(0, payload.size() - 1),
+                                 &decoded));
+  payload[4 + 16] = '\x05';
+  EXPECT_FALSE(DecodeSubmitBatch(payload, &decoded));
+}
+
+// ParseFrame judges the length as soon as it is present and the type byte
+// only once the frame is whole: a cut frame is kNeedMore whatever its type
+// byte, which is what lets WAL recovery treat it as a torn tail.
+TEST(WalCodec, ParseFrameJudgesLengthFirstAndTypeLast) {
+  const std::string frame = EncodeFlushAck(42);
+  FrameView view;
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    EXPECT_EQ(ParseFrame(std::string_view(frame).substr(0, cut), &view),
+              FrameParse::kNeedMore)
+        << "cut " << cut;
+  }
+  ASSERT_EQ(ParseFrame(frame + "tail", &view), FrameParse::kFrame);
+  EXPECT_EQ(view.size, frame.size());
+  EXPECT_EQ(view.type, MsgType::kFlushAck);
+  std::string foreign = frame;
+  foreign[4] = '\x63';  // not a message type
+  EXPECT_EQ(ParseFrame(foreign.substr(0, 6), &view), FrameParse::kNeedMore);
+  EXPECT_EQ(ParseFrame(foreign, &view), FrameParse::kCorrupt);
+  const std::string zero("\0\0\0\0", 4);
+  EXPECT_EQ(ParseFrame(zero, &view), FrameParse::kCorrupt);
+  const std::string oversized("\x02\x00\x40\x00", 4);  // kMaxFramePayload + 2
+  EXPECT_EQ(ParseFrame(oversized, &view), FrameParse::kCorrupt);
 }
 
 TEST(WalCodec, WatermarkRoundTripsAndRejectsJunk) {
