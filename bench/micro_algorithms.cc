@@ -73,6 +73,44 @@ void BM_AutocorrRollingPerDay(benchmark::State& state) {
 }
 BENCHMARK(BM_AutocorrRollingPerDay);
 
+// The order ShardEngine::CloseDay and the study's day-outer loop run in:
+// every analyzer of a study-sized population (1,205 VP-link pairs) takes one
+// AddDay + Classify per iteration, so each analyzer's window is cold in cache
+// when its turn comes. BM_AutocorrRollingPerDay keeps one window hot and
+// hides any per-day cost that scales with the window.
+void BM_AutocorrRollingDayOuter(benchmark::State& state) {
+  constexpr std::size_t kAnalyzers = 1205;
+  constexpr std::size_t kRows = 64;
+  stats::Rng rng(17);
+  std::vector<std::vector<float>> far(kRows), near(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    far[r].resize(96);
+    near[r].resize(96);
+    for (std::size_t s = 0; s < 96; ++s) {
+      far[r][s] = static_cast<float>(12.0 + rng.NextDouble() +
+                                     ((s >= 80 && s < 92) ? 20.0 : 0.0));
+      near[r][s] = static_cast<float>(6.0 + rng.NextDouble());
+    }
+  }
+  std::vector<infer::RollingAutocorr> rolling(kAnalyzers);
+  std::size_t day = 0;
+  for (; day < 50; ++day) {
+    for (std::size_t i = 0; i < kAnalyzers; ++i) {
+      rolling[i].AddDay(far[(i + day) % kRows], near[(i + day) % kRows]);
+    }
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kAnalyzers; ++i) {
+      rolling[i].AddDay(far[(i + day) % kRows], near[(i + day) % kRows]);
+      benchmark::DoNotOptimize(rolling[i].Classify());
+    }
+    ++day;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kAnalyzers));
+}
+BENCHMARK(BM_AutocorrRollingDayOuter);
+
 void BM_LevelShift(benchmark::State& state) {
   stats::Rng rng(5);
   stats::TimeSeries ts;

@@ -157,7 +157,7 @@ WindowDetection DetectRecurringWindow(std::span<const int> counts, int days,
   int left = peak_s;
   int len = 1;
   while (len < I) {
-    const int next_left = (left - 1 + I) % I;
+    const int next_left = left == 0 ? I - 1 : left - 1;
     if (counts[static_cast<std::size_t>(next_left)] >= keep) {
       left = next_left;
       ++len;
@@ -167,7 +167,7 @@ WindowDetection DetectRecurringWindow(std::span<const int> counts, int days,
   }
   int right = peak_s;
   while (len < I) {
-    const int next_right = (right + 1) % I;
+    const int next_right = right == I - 1 ? 0 : right + 1;
     if (next_right == left) break;
     if (counts[static_cast<std::size_t>(next_right)] >= keep) {
       right = next_right;
@@ -179,15 +179,18 @@ WindowDetection DetectRecurringWindow(std::span<const int> counts, int days,
   det.window_start = left;
   det.window_len = len;
 
-  auto in_window = [&](int s) {
-    const int rel = (s - left + I) % I;
-    return rel < len;
+  // A rival is any interval neither in the window nor next to it, i.e. at
+  // an offset of len + 1 or more from the interval just left of the window
+  // (going round midnight). A window of I - 2 or more leaves no rival.
+  const auto near_window = [&](int s) {
+    int rel = s - left + 1;
+    if (rel < 0) rel += I;
+    if (rel >= I) rel -= I;
+    return rel < len + 2;
   };
   int rival_s = -1, rival = 0;
   for (int s = 0; s < I; ++s) {
-    if (in_window(s) || in_window((s + 1) % I) || in_window((s - 1 + I) % I)) {
-      continue;
-    }
+    if (near_window(s)) continue;
     if (counts[static_cast<std::size_t>(s)] > rival) {
       rival = counts[static_cast<std::size_t>(s)];
       rival_s = s;

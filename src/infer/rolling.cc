@@ -1,129 +1,126 @@
 #include "infer/rolling.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace manic::infer {
-
-namespace {
-
-float RowMin(std::span<const float> row) noexcept {
-  float m = std::numeric_limits<float>::infinity();
-  for (const float v : row) {
-    if (!DayGrid::Missing(v)) m = std::min(m, v);
-  }
-  return m;
-}
-
-}  // namespace
 
 RollingAutocorr::RollingAutocorr(AutocorrConfig config)
     : config_(config),
       counts_(static_cast<std::size_t>(config.intervals_per_day), 0) {}
 
-void RollingAutocorr::ComputeDayFlags(std::span<const float> far,
-                                      std::span<const float> near,
-                                      std::vector<std::uint8_t>& flags) const {
+void RollingAutocorr::FlagDay(std::size_t slot) {
   const double far_thr = far_min_ + config_.elevation_ms;
   const double near_thr = near_min_ + config_.elevation_ms;
-  flags.assign(static_cast<std::size_t>(config_.intervals_per_day), 0);
-  for (int s = 0; s < config_.intervals_per_day; ++s) {
-    const float fv = far[static_cast<std::size_t>(s)];
-    if (DayGrid::Missing(fv) || fv <= far_thr) continue;
-    const float nv = near[static_cast<std::size_t>(s)];
-    if (!DayGrid::Missing(nv) && nv > near_thr) continue;
-    flags[static_cast<std::size_t>(s)] = 1;
+  const std::size_t row = Row(slot);
+  const float* far = far_.data() + row;
+  const float* near = near_.data() + row;
+  std::uint8_t* flags = flags_.data() + row;
+  // A NaN bin compares false, so a missing far bin is never elevated and a
+  // missing near bin never vetoes one.
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    const bool elevated = static_cast<double>(far[s]) > far_thr &&
+                          !(static_cast<double>(near[s]) > near_thr);
+    flags[s] = elevated ? 1 : 0;
+    counts_[s] += elevated ? 1 : 0;
   }
 }
 
 void RollingAutocorr::RecomputeFlags() {
   std::fill(counts_.begin(), counts_.end(), 0);
-  for (std::size_t d = 0; d < far_.size(); ++d) {
-    ComputeDayFlags(far_[d], near_[d], flags_[d]);
-    for (int s = 0; s < config_.intervals_per_day; ++s) {
-      counts_[static_cast<std::size_t>(s)] += flags_[d][static_cast<std::size_t>(s)];
-    }
-  }
+  for (int d = 0; d < days_; ++d) FlagDay(Slot(d));
 }
 
 void RollingAutocorr::AddDay(std::span<const float> far,
                              std::span<const float> near) {
-  bool min_dirty = false;
+  const std::size_t intervals = counts_.size();
+  const std::size_t window = static_cast<std::size_t>(config_.window_days);
+  if (far_.empty()) {
+    far_.resize(window * intervals);
+    near_.resize(window * intervals);
+    flags_.resize(window * intervals);
+    day_far_min_.resize(window);
+    day_near_min_.resize(window);
+    day_defined_.resize(window);
+  }
+  const double old_far_min = far_min_;
+  const double old_near_min = near_min_;
 
-  if (static_cast<int>(far_.size()) >= config_.window_days) {
-    // Evict the oldest day.
-    for (int s = 0; s < config_.intervals_per_day; ++s) {
-      counts_[static_cast<std::size_t>(s)] -=
-          flags_.front()[static_cast<std::size_t>(s)];
-    }
-    const bool held_far_min =
-        static_cast<double>(day_far_min_.front()) <= far_min_;
-    const bool held_near_min =
-        static_cast<double>(day_near_min_.front()) <= near_min_;
-    far_.pop_front();
-    near_.pop_front();
-    flags_.pop_front();
-    day_far_min_.pop_front();
-    day_near_min_.pop_front();
-    if (held_far_min || held_near_min) {
+  // The next free slot, which in a full window is the oldest day's.
+  const std::size_t slot = Slot(days_);
+  if (days_ == config_.window_days) {
+    // Evict the oldest day; the new day takes its slot.
+    oldest_ = (oldest_ + 1) % config_.window_days;
+    --days_;
+    defined_ -= static_cast<std::size_t>(day_defined_[slot]);
+    const std::uint8_t* flags = flags_.data() + Row(slot);
+    for (std::size_t s = 0; s < intervals; ++s) counts_[s] -= flags[s];
+    if (static_cast<double>(day_far_min_[slot]) <= far_min_ ||
+        static_cast<double>(day_near_min_[slot]) <= near_min_) {
+      // The evicted day held a window minimum: take it again over the
+      // remaining days' minima.
       far_min_ = std::numeric_limits<double>::infinity();
       near_min_ = std::numeric_limits<double>::infinity();
-      for (std::size_t d = 0; d < far_.size(); ++d) {
-        far_min_ = std::min(far_min_, static_cast<double>(day_far_min_[d]));
-        near_min_ = std::min(near_min_, static_cast<double>(day_near_min_[d]));
+      for (int d = 0; d < days_; ++d) {
+        const std::size_t held = Slot(d);
+        far_min_ = std::min(far_min_, static_cast<double>(day_far_min_[held]));
+        near_min_ =
+            std::min(near_min_, static_cast<double>(day_near_min_[held]));
       }
-      min_dirty = true;
     }
   }
 
-  far_.emplace_back(far.begin(), far.end());
-  near_.emplace_back(near.begin(), near.end());
-  day_far_min_.push_back(RowMin(far));
-  day_near_min_.push_back(RowMin(near));
-  if (static_cast<double>(day_far_min_.back()) < far_min_) {
-    far_min_ = day_far_min_.back();
-    min_dirty = true;
+  const std::size_t row = Row(slot);
+  float far_min = std::numeric_limits<float>::infinity();
+  float near_min = std::numeric_limits<float>::infinity();
+  int defined = 0;
+  for (std::size_t s = 0; s < intervals; ++s) {
+    const float fv = far[s];
+    const float nv = near[s];
+    far_[row + s] = fv;
+    near_[row + s] = nv;
+    if (!DayGrid::Missing(fv)) {
+      far_min = std::min(far_min, fv);
+      ++defined;
+    }
+    if (!DayGrid::Missing(nv)) near_min = std::min(near_min, nv);
   }
-  if (static_cast<double>(day_near_min_.back()) < near_min_) {
-    near_min_ = day_near_min_.back();
-    min_dirty = true;
-  }
+  day_far_min_[slot] = far_min;
+  day_near_min_[slot] = near_min;
+  day_defined_[slot] = defined;
+  defined_ += static_cast<std::size_t>(defined);
+  ++days_;
+  far_min_ = std::min(far_min_, static_cast<double>(far_min));
+  near_min_ = std::min(near_min_, static_cast<double>(near_min));
 
-  flags_.emplace_back();
-  if (min_dirty) {
+  // Flags depend only on the two thresholds: while neither moves, every
+  // held day keeps its flags and only the new day needs them.
+  if (far_min_ != old_far_min || near_min_ != old_near_min) {
     RecomputeFlags();
   } else {
-    ComputeDayFlags(far_.back(), near_.back(), flags_.back());
-    for (int s = 0; s < config_.intervals_per_day; ++s) {
-      counts_[static_cast<std::size_t>(s)] +=
-          flags_.back()[static_cast<std::size_t>(s)];
-    }
+    FlagDay(slot);
   }
 }
 
 DayClassification RollingAutocorr::Classify() const {
   DayClassification cls;
-  if (far_.empty()) return cls;
+  if (days_ == 0) return cls;
 
-  // Usable-data guard mirroring the batch implementation.
-  std::size_t defined = 0;
-  for (const auto& row : far_) {
-    for (const float v : row) {
-      if (!DayGrid::Missing(v)) ++defined;
-    }
-  }
+  // Usable-data guard and threshold mirroring the batch implementation
+  // (an all-missing window reports the batch's 0 ms minimum).
   const std::size_t total =
-      far_.size() * static_cast<std::size_t>(config_.intervals_per_day);
-  cls.threshold_ms = far_min_ + config_.elevation_ms;
-  if (defined < total / 4) {
+      static_cast<std::size_t>(days_) * counts_.size();
+  cls.threshold_ms =
+      (std::isfinite(far_min_) ? far_min_ : 0.0) + config_.elevation_ms;
+  if (defined_ < total / 4) {
     cls.reject = RejectReason::kInsufficientData;
     return cls;
   }
 
   const auto det = detail::DetectRecurringWindow(
-      counts_, static_cast<int>(far_.size()),
+      counts_, days_,
       [&](int d, int s) {
-        return flags_[static_cast<std::size_t>(d)]
-                     [static_cast<std::size_t>(s)] != 0;
+        return flags_[Row(Slot(d)) + static_cast<std::size_t>(s)] != 0;
       },
       config_);
   cls.reject = det.reject;
@@ -132,12 +129,11 @@ DayClassification RollingAutocorr::Classify() const {
   cls.window_len = det.window_len;
   if (!det.recurring) return cls;
 
-  const auto& today = flags_.back();
-  for (int k = 0; k < det.window_len; ++k) {
-    const int s = (det.window_start + k) % config_.intervals_per_day;
-    if (today[static_cast<std::size_t>(s)] != 0) {
-      cls.congested_intervals.push_back(s);
-    }
+  const std::uint8_t* today = flags_.data() + Row(Slot(days_ - 1));
+  cls.congested_intervals.reserve(static_cast<std::size_t>(det.window_len));
+  for (int k = 0, s = det.window_start; k < det.window_len; ++k) {
+    if (today[s] != 0) cls.congested_intervals.push_back(s);
+    if (++s == config_.intervals_per_day) s = 0;
   }
   cls.congested = !cls.congested_intervals.empty();
   cls.fraction = static_cast<double>(cls.congested_intervals.size()) /
@@ -146,12 +142,13 @@ DayClassification RollingAutocorr::Classify() const {
 }
 
 AutocorrResult RollingAutocorr::AnalyzeBatch() const {
-  DayGrid far(static_cast<int>(far_.size()), config_.intervals_per_day);
-  DayGrid near(static_cast<int>(near_.size()), config_.intervals_per_day);
-  for (std::size_t d = 0; d < far_.size(); ++d) {
+  DayGrid far(days_, config_.intervals_per_day);
+  DayGrid near(days_, config_.intervals_per_day);
+  for (int d = 0; d < days_; ++d) {
+    const std::size_t row = Row(Slot(d));
     for (int s = 0; s < config_.intervals_per_day; ++s) {
-      far.Set(static_cast<int>(d), s, far_[d][static_cast<std::size_t>(s)]);
-      near.Set(static_cast<int>(d), s, near_[d][static_cast<std::size_t>(s)]);
+      far.Set(d, s, far_[row + static_cast<std::size_t>(s)]);
+      near.Set(d, s, near_[row + static_cast<std::size_t>(s)]);
     }
   }
   return AnalyzeWindow(far, near, config_);

@@ -1,14 +1,24 @@
 // Incremental (rolling-window) variant of the autocorrelation method, used
 // by the longitudinal benches that classify every day of a 22-month study
-// for ~1000 links: instead of rescanning the 50x96 grid per day, it
-// maintains per-interval elevated-day counts and updates them as days enter
-// and leave the window. Guaranteed (and property-tested) to classify the
+// for ~1000 links and by every (VP, link) pair of the serving plane: instead
+// of rescanning the 50x96 grid per day, it maintains per-interval
+// elevated-day counts and updates them as days enter and leave the window.
+// Guaranteed (and differential-tested against AnalyzeWindow) to classify the
 // newest day exactly as the batch AnalyzeWindow would on the same window.
+//
+// State layout: one flat window_days x intervals ring each for the far bins,
+// the near bins and the elevation flags, plus per-day minima and defined-bin
+// counts. The rings are allocated on the first AddDay and reused forever
+// after, so a day costs no allocation. A running defined-bin count makes
+// Classify O(intervals); the per-day minima give the window minimum on
+// eviction, and the flags are recomputed only when a threshold moves.
 #pragma once
 
-#include <deque>
-#include <optional>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <vector>
 
 #include "infer/autocorr.h"
 
@@ -36,10 +46,8 @@ class RollingAutocorr {
   void AddDay(std::span<const float> far, std::span<const float> near);
 
   // True once window_days days have been accumulated.
-  bool WindowFull() const noexcept {
-    return static_cast<int>(far_.size()) >= config_.window_days;
-  }
-  int DaysHeld() const noexcept { return static_cast<int>(far_.size()); }
+  bool WindowFull() const noexcept { return days_ >= config_.window_days; }
+  int DaysHeld() const noexcept { return days_; }
 
   // Classification of the newest day against the current window.
   DayClassification Classify() const;
@@ -48,17 +56,29 @@ class RollingAutocorr {
   AutocorrResult AnalyzeBatch() const;
 
  private:
+  // Ring slot of the i-th held day, oldest first.
+  std::size_t Slot(int i) const noexcept {
+    return static_cast<std::size_t>((oldest_ + i) % config_.window_days);
+  }
+  std::size_t Row(std::size_t slot) const noexcept {
+    return slot * static_cast<std::size_t>(config_.intervals_per_day);
+  }
+  // Flags the day in `slot` against the current thresholds and adds its
+  // flags to counts_.
+  void FlagDay(std::size_t slot);
   void RecomputeFlags();
-  void ComputeDayFlags(std::span<const float> far, std::span<const float> near,
-                       std::vector<std::uint8_t>& flags) const;
 
   AutocorrConfig config_;
-  std::deque<std::vector<float>> far_;
-  std::deque<std::vector<float>> near_;
-  std::deque<std::vector<std::uint8_t>> flags_;  // elevated per interval
-  std::deque<float> day_far_min_;
-  std::deque<float> day_near_min_;
-  std::vector<int> counts_;
+  std::vector<float> far_;            // window_days x intervals ring
+  std::vector<float> near_;           // window_days x intervals ring
+  std::vector<std::uint8_t> flags_;   // elevated per (slot, interval)
+  std::vector<float> day_far_min_;    // per slot
+  std::vector<float> day_near_min_;   // per slot
+  std::vector<int> day_defined_;      // far bins present, per slot
+  std::vector<int> counts_;           // elevated days per interval
+  int oldest_ = 0;                    // slot of the oldest held day
+  int days_ = 0;                      // days held
+  std::size_t defined_ = 0;           // far bins present in the window
   double far_min_ = std::numeric_limits<double>::infinity();
   double near_min_ = std::numeric_limits<double>::infinity();
 };

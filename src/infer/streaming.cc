@@ -1,5 +1,6 @@
 #include "infer/streaming.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace manic::infer {
@@ -24,24 +25,47 @@ DataQuality LinkQualityAccumulator::Finish(int total_days) const {
 StreamingClassifier::StreamingClassifier(AutocorrConfig config)
     : config_(config), rolling_(config) {}
 
+std::size_t StreamingClassifier::OpenDays() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(open_.begin(), open_.end(),
+                    [](const OpenDay& od) { return od.open; }));
+}
+
+// The first sample of a day: reuses a free slot's bins, or grows the set
+// when every slot is open.
+StreamingClassifier::OpenDay& StreamingClassifier::Open(std::int64_t day) {
+  for (std::size_t i = 0; i < open_.size(); ++i) {
+    if (open_[i].open && open_[i].day == day) return open_[last_ = i];
+  }
+  std::size_t i = 0;
+  while (i < open_.size() && open_[i].open) ++i;
+  if (i == open_.size()) {
+    open_.emplace_back();
+    open_[i].far.resize(static_cast<std::size_t>(config_.intervals_per_day));
+    open_[i].near.resize(static_cast<std::size_t>(config_.intervals_per_day));
+  }
+  OpenDay& od = open_[last_ = i];
+  od.day = day;
+  od.open = true;
+  std::fill(od.far.begin(), od.far.end(),
+            std::numeric_limits<float>::quiet_NaN());
+  std::fill(od.near.begin(), od.near.end(),
+            std::numeric_limits<float>::quiet_NaN());
+  return od;
+}
+
 // Called for every sample the serving plane ingests; fenced by the linter's
-// hot-path contract. The only allocations are the justified first-sample-of-
-// a-day bin setup below (open_[day]'s node allocation is the same cold event).
+// hot-path contract. A sample for the day the previous one opened finds its
+// slot directly; any other day goes through Open, which allocates only when
+// more days are open at once than ever before.
 // manic-lint: hot-path(begin)
 void StreamingClassifier::AddSample(std::int64_t day, int interval,
                                     bool far_side, float value_ms) {
   if (interval < 0 || interval >= config_.intervals_per_day) return;
-  OpenDay& od = open_[day];
-  if (od.far.empty()) {
-    // First sample of a day: one-time bin allocation for the fresh OpenDay,
-    // not the steady-state path.
-    // manic-lint: allow(hot-path)
-    od.far.assign(static_cast<std::size_t>(config_.intervals_per_day),
-                  std::numeric_limits<float>::quiet_NaN());
-    // manic-lint: allow(hot-path) -- same one-time cold path as above.
-    od.near.assign(static_cast<std::size_t>(config_.intervals_per_day),
-                   std::numeric_limits<float>::quiet_NaN());
-  }
+  OpenDay& od = last_ < open_.size() && open_[last_].open &&
+                        open_[last_].day == day
+                    ? open_[last_]
+                    : Open(day);
   if (std::isnan(value_ms)) return;  // marker: the day is now open, bin stays NaN
   float& slot = far_side ? od.far[static_cast<std::size_t>(interval)]
                          : od.near[static_cast<std::size_t>(interval)];
@@ -53,14 +77,17 @@ StreamingClassifier::DayOutcome StreamingClassifier::CloseDay(
     std::int64_t day) {
   DayOutcome outcome;
   // Days close in ascending order, so any earlier day still open here can
-  // never be finalized — evict its bins rather than hold them forever.
-  open_.erase(open_.begin(), open_.lower_bound(day));
-  const auto it = open_.find(day);
-  if (it == open_.end()) return outcome;  // invisible day: nothing recorded
+  // never be finalized — free its slot rather than hold it forever.
+  OpenDay* closing = nullptr;
+  for (OpenDay& od : open_) {
+    if (!od.open || od.day > day) continue;
+    if (od.day == day) closing = &od;
+    od.open = false;
+  }
+  if (closing == nullptr) return outcome;  // invisible day: nothing recorded
   outcome.observed = true;
-  rolling_.AddDay(it->second.far, it->second.near);
-  if (day >= 0) quality_.AddDay(it->second.far, it->second.near);
-  open_.erase(it);
+  rolling_.AddDay(closing->far, closing->near);
+  if (day >= 0) quality_.AddDay(closing->far, closing->near);
   if (day >= 0 && rolling_.WindowFull()) {
     outcome.classification = rolling_.Classify();
   }

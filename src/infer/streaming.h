@@ -14,14 +14,14 @@
 //   StreamingClassifier   one (VP, link) pair's live state: open-day
 //                         minimum-RTT bins filled one sample at a time,
 //                         closed days pushed into a RollingAutocorr window.
-//                         AddSample is O(1); CloseDay is the same per-day
-//                         work the rolling bench measures at ~5.7 us/day.
+//                         AddSample is O(1) and CloseDay O(intervals); once
+//                         a pair has run, neither allocates (open-day bins
+//                         and the window rings are reused).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -140,7 +140,9 @@ struct LinkQualityAccumulator {
 // quality only from day 0 on, a classification only once the window is
 // full. Because the ingest feed can cross a day boundary before the day is
 // closed (the boundary is only known once a later sample arrives), up to a
-// handful of days may be open at once.
+// handful of days may be open at once. Open days live in a small set of
+// slots whose bin buffers are reused: a closed day frees its slot, and a new
+// slot is only allocated when more days are open at once than ever before.
 class StreamingClassifier {
  public:
   explicit StreamingClassifier(AutocorrConfig config = {});
@@ -165,15 +167,20 @@ class StreamingClassifier {
   const QualityTally& quality() const noexcept { return quality_; }
   bool WindowFull() const noexcept { return rolling_.WindowFull(); }
   int DaysHeld() const noexcept { return rolling_.DaysHeld(); }
-  std::size_t OpenDays() const noexcept { return open_.size(); }
+  std::size_t OpenDays() const noexcept;
 
  private:
   struct OpenDay {
-    std::vector<float> far, near;
+    std::int64_t day = 0;
+    bool open = false;
+    std::vector<float> far, near;  // intervals_per_day bins, kept on reuse
   };
+  // The open slot of `day`, opened (all bins NaN) when the day has none.
+  OpenDay& Open(std::int64_t day);
 
   AutocorrConfig config_;
-  std::map<std::int64_t, OpenDay> open_;
+  std::vector<OpenDay> open_;
+  std::size_t last_ = 0;  // slot the previous sample landed in
   RollingAutocorr rolling_;
   QualityTally quality_;
 };

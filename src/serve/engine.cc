@@ -1,5 +1,6 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -9,11 +10,18 @@ namespace manic::serve {
 
 ShardEngine::ShardEngine(EngineConfig config) : config_(config) {}
 
+ShardEngine::PairSlot ShardEngine::AddPair(topo::LinkId link,
+                                           topo::VpId vp) {
+  const auto slot = static_cast<PairSlot>(pairs_.size());
+  pairs_.emplace_back(config_.autocorr);
+  slot_of_.emplace(PairKey(link, vp), slot);
+  return slot;
+}
+
 // Per-sample admission: runs once for every record off the wire, so it is
-// fenced by the linter's hot-path contract — no allocation, locking, or I/O
-// except the explicitly justified cold branches below.
+// fenced by the linter's hot-path contract — no allocation, locking, or I/O.
 // manic-lint: hot-path(begin)
-void ShardEngine::Ingest(const Sample& s) {
+void ShardEngine::IngestAt(PairSlot slot, const Sample& s) {
   if (s.kind == SampleKind::kLossRate) {
     ++samples_;
     return;
@@ -38,17 +46,7 @@ void ShardEngine::Ingest(const Sample& s) {
       s.kind == SampleKind::kFarMissing || s.kind == SampleKind::kNearMissing;
   const float value_ms =
       missing ? std::numeric_limits<float>::quiet_NaN() : s.value;
-
-  auto& per_vp = links_[s.link];
-  auto it = per_vp.find(s.vp);
-  if (it == per_vp.end()) {
-    // First sample of a (link, vp) pair: a one-time classifier
-    // construction, not the steady-state path.
-    // manic-lint: allow(hot-path)
-    it = per_vp.emplace(s.vp, infer::StreamingClassifier(config_.autocorr))
-             .first;
-  }
-  it->second.AddSample(day, interval, far_side, value_ms);
+  pairs_[slot].AddSample(day, interval, far_side, value_ms);
 }
 // manic-lint: hot-path(end)
 
@@ -58,17 +56,21 @@ std::vector<VerdictRecord> ShardEngine::CloseDay(std::int64_t day) {
   // Study day-count for the quality grade, saturated so an extreme day
   // index cannot overflow the int cast.
   const int total_days =
-      day >= static_cast<std::int64_t>(std::numeric_limits<int>::max())
-          ? std::numeric_limits<int>::max()
-          : static_cast<int>(day) + 1;
+      day >= 0 ? static_cast<int>(std::min<std::int64_t>(
+                     day, std::numeric_limits<int>::max() - 1)) +
+                     1
+               : 0;
   std::vector<VerdictRecord> verdicts;
-  for (auto& [link, per_vp] : links_) {
+  quality_.clear();
+  for (auto it = slot_of_.begin(); it != slot_of_.end();) {
+    const topo::LinkId link = LinkOf(it->first);
     double fraction_sum = 0.0;
     std::uint32_t contributors = 0;
     std::uint32_t asserting = 0;
     infer::LinkQualityAccumulator acc;
     bool measured = false;
-    for (auto& [vp, state] : per_vp) {
+    for (; it != slot_of_.end() && LinkOf(it->first) == link; ++it) {
+      infer::StreamingClassifier& state = pairs_[it->second];
       const infer::StreamingClassifier::DayOutcome outcome =
           state.CloseDay(day);
       if (outcome.classification) {
@@ -83,6 +85,7 @@ std::vector<VerdictRecord> ShardEngine::CloseDay(std::int64_t day) {
         measured = true;
       }
     }
+    if (measured) quality_.emplace_back(link, acc.Finish(total_days));
     // Same gate as the batch loop: a link gets a verdict on every day at
     // least one of its VPs had a full window (today_observed), with the
     // fraction averaged over recurring-asserting VPs (0 when none assert).
@@ -97,7 +100,7 @@ std::vector<VerdictRecord> ShardEngine::CloseDay(std::int64_t day) {
         asserting > 0 ? fraction_sum / static_cast<double>(asserting) : 0.0;
     v.congested = v.fraction >= config_.congested_threshold_frac;
     if (measured && day >= 0) {
-      const infer::DataQuality q = acc.Finish(total_days);
+      const infer::DataQuality& q = quality_.back().second;
       v.quality_ok = q.Acceptable(config_.autocorr.quality);
       v.far_coverage_frac = q.far_coverage_frac;
     }
@@ -108,18 +111,10 @@ std::vector<VerdictRecord> ShardEngine::CloseDay(std::int64_t day) {
 
 std::map<topo::LinkId, infer::DataQuality> ShardEngine::QualitySnapshot(
     int total_days) const {
-  std::map<topo::LinkId, infer::DataQuality> out;
-  for (const auto& [link, per_vp] : links_) {
-    infer::LinkQualityAccumulator acc;
-    bool measured = false;
-    for (const auto& [vp, state] : per_vp) {
-      if (state.quality().far_total == 0) continue;
-      acc.Add(state.quality());
-      measured = true;
-    }
-    // manic-lint: allow(layout: alloc-scale) -- day-close deposit map,
-    if (measured) out.emplace(link, acc.Finish(total_days));  // once per day.
-  }
+  std::map<topo::LinkId, infer::DataQuality> out(quality_.begin(),
+                                                 quality_.end());
+  // Every other field is independent of the day count it is graded over.
+  for (auto& [link, q] : out) q.total_days = total_days;
   return out;
 }
 

@@ -8,14 +8,23 @@
 // the service, so one engine always sees every VP of the links it owns —
 // the merge never crosses a shard boundary.
 //
-// Determinism contract: both maps are ordered, so iteration (and therefore
-// the floating-point summation order of per-VP fractions) is ascending
-// (link, vp) — the same order as the batch driver's pair list, which the
-// topology builder emits in ascending VP order.
+// State layout: one dense slot per (link, VP) pair, assigned at first sight
+// and never moved or freed, holding the pair's classifier. A sample finds its
+// slot through a one-entry cache of the previous sample's pair (a pair-day
+// batch is ~193 samples of one pair) and an ordered (link, vp) index behind
+// it; the IngestShard keys its tsdb handles by the same slot. CloseDay walks
+// the index, folds each link's quality once, and keeps the per-link quality
+// rows until the next close.
+//
+// Determinism contract: the close order (and therefore the floating-point
+// summation order of per-VP fractions) is ascending (link, vp) — the same
+// order as the batch driver's pair list, which the topology builder emits in
+// ascending VP order.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "infer/autocorr.h"
@@ -35,12 +44,36 @@ struct EngineConfig {
 
 class ShardEngine {
  public:
+  using PairSlot = std::uint32_t;
+  // (link, DataQuality) as of the last closed day, ascending link.
+  using LinkQuality = std::pair<topo::LinkId, infer::DataQuality>;
+
   explicit ShardEngine(EngineConfig config = {});
+
+  // The per-sample lookup and routing below carry the linter's hot-path
+  // contract; first sight of a pair goes through the out-of-line AddPair.
+  // manic-lint: hot-path(begin)
+
+  // The dense slot of the (link, vp) pair, assigned at first sight. Stable
+  // for the engine's lifetime, and dense: slots are 0, 1, 2, ... in order
+  // of first sight.
+  PairSlot SlotOf(topo::LinkId link, topo::VpId vp) {
+    const std::uint64_t key = PairKey(link, vp);
+    if (key == last_key_ && !pairs_.empty()) return last_slot_;
+    const auto it = slot_of_.find(key);
+    last_key_ = key;
+    last_slot_ = it != slot_of_.end() ? it->second : AddPair(link, vp);
+    return last_slot_;
+  }
 
   // O(1): routes one sample into its pair's open-day bins. Loss-rate
   // samples are counted but do not feed inference (they live in the raw
   // store only); RTT and missing-marker kinds land in minimum bins.
-  void Ingest(const Sample& s);
+  void Ingest(const Sample& s) { IngestAt(SlotOf(s.link, s.vp), s); }
+  // manic-lint: hot-path(end)
+
+  // Ingest for a caller that already holds the sample's SlotOf.
+  void IngestAt(PairSlot slot, const Sample& s);
 
   // Finalizes `day` for every pair and returns the merged per-link verdicts
   // in ascending link order. Days must be closed in ascending order; pairs
@@ -48,8 +81,13 @@ class ShardEngine {
   // batch pair outside its visibility window).
   std::vector<VerdictRecord> CloseDay(std::int64_t day);
 
-  // Per-link DataQuality as of `total_days` study days, folded across the
-  // VPs that measured the link (pairs that never saw a bin are skipped).
+  // Per-link DataQuality as of the last closed day, folded across the VPs
+  // that measured the link (pairs that never saw a bin are skipped). Folded
+  // once per close by CloseDay; valid until the next CloseDay.
+  const std::vector<LinkQuality>& DayQuality() const noexcept {
+    return quality_;
+  }
+  // DayQuality as a map, graded over `total_days` study days.
   std::map<topo::LinkId, infer::DataQuality> QualitySnapshot(
       int total_days) const;
 
@@ -59,16 +97,28 @@ class ShardEngine {
   // state). The service filters these upstream; this is the engine's own
   // guard for direct users.
   std::uint64_t late_samples() const noexcept { return late_; }
-  std::size_t links_tracked() const noexcept { return links_.size(); }
 
  private:
+  static std::uint64_t PairKey(topo::LinkId link, topo::VpId vp) noexcept {
+    return (static_cast<std::uint64_t>(link) << 32) | vp;
+  }
+  static topo::LinkId LinkOf(std::uint64_t key) noexcept {
+    return static_cast<topo::LinkId>(key >> 32);
+  }
+  // First sight of a pair: a new slot, indexed in close order.
+  PairSlot AddPair(topo::LinkId link, topo::VpId vp);
+
   EngineConfig config_;
-  std::map<topo::LinkId, std::map<topo::VpId, infer::StreamingClassifier>>
-      links_;
+  std::vector<infer::StreamingClassifier> pairs_;  // by slot
+  // PairKey -> slot; ascending (link, vp) is the close order.
+  std::map<std::uint64_t, PairSlot> slot_of_;
+  std::vector<LinkQuality> quality_;  // as of the last close
   std::uint64_t samples_ = 0;
   std::uint64_t late_ = 0;
-  bool has_closed_ = false;
   std::int64_t closed_through_ = 0;
+  std::uint64_t last_key_ = 0;  // the previous SlotOf pair and its slot
+  PairSlot last_slot_ = 0;
+  bool has_closed_ = false;
 };
 
 }  // namespace manic::serve

@@ -1,15 +1,10 @@
 #include "serve/ingest.h"
 
-#include <algorithm>
-#include <limits>
 #include <string>
+#include <utility>
 
 namespace manic::serve {
 namespace {
-
-std::uint64_t PairKey(topo::LinkId link, topo::VpId vp) {
-  return (static_cast<std::uint64_t>(link) << 32) | vp;
-}
 
 tsdb::TagSet PairTags(topo::LinkId link, topo::VpId vp) {
   tsdb::TagSet tags;
@@ -75,19 +70,21 @@ std::vector<VerdictRecord> IngestShard::TakeDayVerdicts() {
 void IngestShard::WorkerLoop() {
   bool stopped = false;
   while (!stopped) {
-    // One wake per published run; the sample counter moves once per run.
-    std::uint64_t samples = 0;
+    // One wake per published run; the counters move once per run.
     ring_.DrainRunBlocking([&](Msg& msg) {
       switch (msg.kind) {
         // The per-sample branch is the worker's steady state and carries
         // the linter's hot-path contract; day-close below is cold and
         // exempt.
         // manic-lint: hot-path(begin)
-        case MsgKind::kSample:
-          engine_.Ingest(msg.sample);
-          if (config_.store_raw) Store(msg.sample);
-          ++samples;
+        case MsgKind::kSample: {
+          const ShardEngine::PairSlot slot =
+              engine_.SlotOf(msg.sample.link, msg.sample.vp);
+          engine_.IngestAt(slot, msg.sample);
+          if (config_.store_raw) Store(slot, msg.sample);
+          ++run_samples_;
           break;
+        }
           // manic-lint: hot-path(end)
         case MsgKind::kCloseDay:
           FinalizeDay(msg.day);
@@ -97,19 +94,20 @@ void IngestShard::WorkerLoop() {
           break;
       }
     });
-    samples_.fetch_add(samples, std::memory_order_relaxed);
+    PublishCounts();
   }
 }
 
+void IngestShard::PublishCounts() {
+  samples_.fetch_add(std::exchange(run_samples_, 0),
+                     std::memory_order_relaxed);
+  raw_points_.fetch_add(std::exchange(run_raw_points_, 0),
+                        std::memory_order_relaxed);
+}
+
 void IngestShard::FinalizeDay(std::int64_t day) {
+  PublishCounts();  // a reader after WaitClosed sees every counted point
   day_verdicts_ = engine_.CloseDay(day);
-  // Saturate the study day-count so an extreme day index cannot overflow
-  // the int cast.
-  quality_ = engine_.QualitySnapshot(
-      day >= 0 ? static_cast<int>(std::min<std::int64_t>(
-                     day, std::numeric_limits<int>::max() - 1)) +
-                     1
-               : 0);
   if (config_.store_raw && config_.retention_horizon_s > 0) {
     const std::size_t dropped =
         db_.EnforceRetention("tslp_rtt", config_.retention_horizon_s) +
@@ -120,48 +118,25 @@ void IngestShard::FinalizeDay(std::int64_t day) {
   closed_through_.notify_all();
 }
 
-tsdb::Database::SeriesHandle IngestShard::RttHandle(topo::LinkId link,
-                                                    topo::VpId vp,
-                                                    bool far_side) {
-  auto& cache = far_side ? far_handles_ : near_handles_;
-  const std::uint64_t key = PairKey(link, vp);
-  const auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  tsdb::TagSet tags = PairTags(link, vp);
+// First sample of a series kind for a pair: the tsdb creates the series.
+tsdb::Database::SeriesHandle IngestShard::OpenSeries(const Sample& s) {
+  tsdb::TagSet tags = PairTags(s.link, s.vp);
+  if (s.kind == SampleKind::kLossRate) return db_.OpenSeries("tslp_loss", tags);
+  const bool far_side =
+      s.kind == SampleKind::kFarRtt || s.kind == SampleKind::kFarMissing;
   tags.Set("side", far_side ? "far" : "near");
-  const tsdb::Database::SeriesHandle handle = db_.OpenSeries("tslp_rtt", tags);
-  cache.emplace(key, handle);
-  return handle;
+  return db_.OpenSeries("tslp_rtt", tags);
 }
 
-tsdb::Database::SeriesHandle IngestShard::LossHandle(topo::LinkId link,
-                                                     topo::VpId vp) {
-  const std::uint64_t key = PairKey(link, vp);
-  const auto it = loss_handles_.find(key);
-  if (it != loss_handles_.end()) return it->second;
-  const tsdb::Database::SeriesHandle handle =
-      db_.OpenSeries("tslp_loss", PairTags(link, vp));
-  loss_handles_.emplace(key, handle);
-  return handle;
-}
-
-void IngestShard::Store(const Sample& s) {
-  switch (s.kind) {
-    case SampleKind::kFarRtt:
-    case SampleKind::kNearRtt:
-      db_.Append(RttHandle(s.link, s.vp, s.kind == SampleKind::kFarRtt), s.t,
-                 s.value);
-      raw_points_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case SampleKind::kFarMissing:
-    case SampleKind::kNearMissing:
-      db_.AppendMissing(
-          RttHandle(s.link, s.vp, s.kind == SampleKind::kFarMissing), s.t);
-      break;
-    case SampleKind::kLossRate:
-      db_.Append(LossHandle(s.link, s.vp), s.t, s.value);
-      raw_points_.fetch_add(1, std::memory_order_relaxed);
-      break;
+void IngestShard::Store(ShardEngine::PairSlot slot, const Sample& s) {
+  if (slot >= handles_.size()) handles_.resize(slot + 1);  // a new pair
+  tsdb::Database::SeriesHandle& handle = handles_[slot].For(s.kind);
+  if (!handle) handle = OpenSeries(s);
+  if (s.kind == SampleKind::kFarMissing || s.kind == SampleKind::kNearMissing) {
+    db_.AppendMissing(handle, s.t);
+  } else {
+    db_.Append(handle, s.t, s.value);
+    ++run_raw_points_;
   }
 }
 

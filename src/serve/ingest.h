@@ -14,26 +14,27 @@
 //
 // Day closes ride in-band: the producer pushes a kCloseDay control marker
 // after the last sample of the day, the worker finalizes the day, deposits
-// the verdicts and a fresh quality snapshot, and release-publishes
-// closed_through_. The marker goes out in the same publish as the samples
-// staged ahead of it (publish-before-marker): the producer then blocks in
-// WaitClosed, so a sample still staged behind it would never reach the
-// worker — and ring order means the worker folds every day-d sample before
-// it sees day d's close, whichever batch boundaries the stream had. The
-// collector thread waits on closed_through_ and only then reads the
-// deposits — the deposit slots are plain members, made safe by the
-// acquire/release pair plus the service discipline of collecting day d
-// before issuing the close for day d+1.
+// the verdicts (the engine keeps the day's per-link quality rows), and
+// release-publishes closed_through_. The marker goes out in the same
+// publish as the samples staged ahead of it (publish-before-marker): the
+// producer then blocks in WaitClosed, so a sample still staged behind it
+// would never reach the worker — and ring order means the worker folds
+// every day-d sample before it sees day d's close, whichever batch
+// boundaries the stream had. The collector thread waits on closed_through_
+// and only then reads the deposits — the deposit slots are plain members,
+// made safe by the acquire/release pair plus the service discipline of
+// collecting day d before issuing the close for day d+1.
+//
+// A sample's engine state and its tsdb series handles share one dense pair
+// slot (ShardEngine::SlotOf): one lookup per sample, not one per map.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <thread>
 #include <vector>
 
-#include "infer/data_quality.h"
 #include "serve/engine.h"
 #include "serve/ring.h"
 #include "serve/sample.h"
@@ -85,12 +86,15 @@ class IngestShard {
   // WaitClosed(d) returning and the next PushCloseDay — the service
   // collects each day before scheduling the next close.
   std::vector<VerdictRecord> TakeDayVerdicts();
-  const std::map<topo::LinkId, infer::DataQuality>& LatestQuality() const {
-    return quality_;
+  // Per-link quality as of the most recently closed day, ascending link —
+  // the same validity window as TakeDayVerdicts.
+  const std::vector<ShardEngine::LinkQuality>& LatestQuality() const {
+    return engine_.DayQuality();
   }
 
   // ---- counters (any thread) -------------------------------------------------
-  // Advanced once per drained run, so it may trail a closed day briefly.
+  // Both advance once per drained run and before each day close is
+  // published, so they may trail the worker briefly but never a closed day.
   std::uint64_t SamplesProcessed() const noexcept {
     return samples_.load(std::memory_order_relaxed);
   }
@@ -106,13 +110,31 @@ class IngestShard {
     std::int64_t day = 0;
   };
 
+  // A pair's raw series, opened on the first sample of each kind.
+  struct SeriesHandles {
+    tsdb::Database::SeriesHandle far, near, loss;
+    tsdb::Database::SeriesHandle& For(SampleKind kind) {
+      switch (kind) {
+        case SampleKind::kFarRtt:
+        case SampleKind::kFarMissing:
+          return far;
+        case SampleKind::kNearRtt:
+        case SampleKind::kNearMissing:
+          return near;
+        case SampleKind::kLossRate:
+          break;
+      }
+      return loss;
+    }
+  };
+
   void WorkerLoop();
+  // Moves the worker's run-local counts into the shared counters.
+  void PublishCounts();
   // The worker's kCloseDay handler: close the engine day, deposit, publish.
   void FinalizeDay(std::int64_t day);
-  void Store(const Sample& s);
-  tsdb::Database::SeriesHandle RttHandle(topo::LinkId link, topo::VpId vp,
-                                         bool far_side);
-  tsdb::Database::SeriesHandle LossHandle(topo::LinkId link, topo::VpId vp);
+  void Store(ShardEngine::PairSlot slot, const Sample& s);
+  tsdb::Database::SeriesHandle OpenSeries(const Sample& s);
 
   IngestShardConfig config_;
   SpscRing<Msg> ring_;
@@ -123,11 +145,10 @@ class IngestShard {
   // the closed_through_ acquire/release handshake.
   ShardEngine engine_;
   tsdb::Database db_;
-  std::map<std::uint64_t, tsdb::Database::SeriesHandle> far_handles_;
-  std::map<std::uint64_t, tsdb::Database::SeriesHandle> near_handles_;
-  std::map<std::uint64_t, tsdb::Database::SeriesHandle> loss_handles_;
+  std::vector<SeriesHandles> handles_;  // by engine pair slot
+  std::uint64_t run_samples_ = 0;      // not yet in samples_
+  std::uint64_t run_raw_points_ = 0;   // not yet in raw_points_
   std::vector<VerdictRecord> day_verdicts_;
-  std::map<topo::LinkId, infer::DataQuality> quality_;
 
   // closed_through_ is the collector-vs-worker handshake line; the stat
   // counters live on their own line (they may share it with each other —

@@ -7,9 +7,11 @@
 // staged_, a cursor only it reads; Publish() makes the whole run visible
 // with one release-store of tail_ and one notify. The consumer drains every
 // published record and frees all their slots with one release-store of
-// head_ and one notify. Each side reads the other's cursor with acquire
-// ordering, so a drained record is fully constructed and a reused slot is
-// fully drained. Parking is C++20 atomic wait/notify — no mutexes, no
+// head_ and one notify. The producer keeps the last head_ it loaded in
+// cached_head_ and re-reads head_ only when that cached view says the ring
+// is full, so staging does not pull the consumer's cache line over on every
+// record. Each side reads the other's cursor with acquire ordering, so a
+// drained record is fully constructed and a reused slot is fully drained. Parking is C++20 atomic wait/notify — no mutexes, no
 // clocks, no spinning of our own.
 //
 // Why runs: a wake costs a futex round trip on both threads. Handing a
@@ -137,8 +139,12 @@ class SpscRing {
   // otherwise leaves the consumer cursor it saw in *seen_head (the value to
   // park on) and returns false.
   bool TryStage(const T& value, std::uint64_t* seen_head) {
-    *seen_head = head_.load(std::memory_order_acquire);
-    if (staged_ - *seen_head == slots_.size()) return false;  // full
+    if (staged_ - cached_head_ == slots_.size()) {
+      // Full as last seen: the consumer may have freed slots since.
+      cached_head_ = head_.load(std::memory_order_acquire);
+      *seen_head = cached_head_;
+      if (staged_ - cached_head_ == slots_.size()) return false;  // full
+    }
     slots_[staged_ & mask_] = value;
     ++staged_;
     return true;
@@ -161,11 +167,13 @@ class SpscRing {
   // manic-lint: hot-path(end)
 
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
-  // The producer's line: the published cursor and the staging cursor are
-  // both written by the producer alone, so they share it (`same-line` in
-  // tools/manic_lint/layout.txt); the consumer reads tail_ once per drain.
+  // The producer's line: the published cursor, the staging cursor and the
+  // cached consumer cursor are all written by the producer alone, so they
+  // share it (`same-line` in tools/manic_lint/layout.txt); the consumer
+  // reads tail_ once per drain.
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // published cursor
-  std::uint64_t staged_ = 0;  // producer-only: staged_ >= tail_
+  std::uint64_t staged_ = 0;       // producer-only: staged_ >= tail_
+  std::uint64_t cached_head_ = 0;  // producer-only: a past head_, <= head_
   // Line-aligned so the producer's cursors do not share their cache line
   // with the slot/mask metadata both endpoints read on every op.
   alignas(64) std::vector<T> slots_;

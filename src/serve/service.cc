@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "stats/calendar.h"
 
@@ -101,7 +102,7 @@ SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
   // Staged only: the caller publishes every shard once per call (or a
   // close marker below carries the run out with it).
   shards_[s.link % shards_.size()]->PushSample(s);
-  samples_accepted_.fetch_add(1, std::memory_order_relaxed);
+  ++run_accepted_;
   if (s.t > watermark_t_) {
     watermark_t_ = s.t;
     // The watermark entered a new day: every earlier day is complete. In
@@ -216,6 +217,8 @@ WalStatus CongestionService::FlushWalPending() {
 
 void CongestionService::PublishShards() {
   for (auto& shard : shards_) shard->Publish();
+  samples_accepted_.fetch_add(std::exchange(run_accepted_, 0),
+                              std::memory_order_relaxed);
 }
 
 void CongestionService::EnterDegraded() {
@@ -262,14 +265,10 @@ void CongestionService::CloseThrough(std::int64_t target_day) {
     // Wait for every shard to deposit; collecting before the next close is
     // what keeps the deposit slots race-free (see ingest.h).
     std::vector<VerdictRecord> merged;
-    std::map<topo::LinkId, infer::DataQuality> quality;
     for (auto& shard : shards_) {
       shard->WaitClosed(day);
       std::vector<VerdictRecord> part = shard->TakeDayVerdicts();
       merged.insert(merged.end(), part.begin(), part.end());
-      for (const auto& [link, q] : shard->LatestQuality()) {
-        quality[link] = q;
-      }
     }
     // Each link lives on exactly one shard, so link order is a total order
     // over the merged rows — the log is independent of the shard count.
@@ -280,14 +279,17 @@ void CongestionService::CloseThrough(std::int64_t target_day) {
     {
       runtime::MutexLock lock(mu_);
       for (const VerdictRecord& v : merged) {
-        log_ += FormatVerdictLine(v);
         // std::map subscript keys cannot overflow, and these verdicts came
         // from shard-owned engines, not the wire.
         // manic-lint: allow(trust)
         index_[v.link].push_back(v);
-        ++verdict_rows_;
       }
-      for (const auto& [link, q] : quality) quality_[link] = q;
+      verdict_rows_ += merged.size();
+      for (auto& shard : shards_) {
+        for (const auto& [link, q] : shard->LatestQuality()) {
+          quality_[link] = q;
+        }
+      }
       last_closed_day_ = day;
       ++days_closed_;
     }
@@ -303,10 +305,14 @@ std::vector<VerdictRecord> CongestionService::QueryRange(topo::LinkId link,
   runtime::MutexLock lock(mu_);
   const auto it = index_.find(link);
   if (it == index_.end()) return out;
-  for (const VerdictRecord& v : it->second) {
-    if (v.day >= first_day && v.day * stats::kSecPerDay < t1) {
-      out.push_back(v);
-    }
+  // Rows are in ascending day order: the first one on or after t0's day,
+  // then every row whose day starts before t1.
+  const auto& rows = it->second;
+  auto pos = std::lower_bound(
+      rows.begin(), rows.end(), first_day,
+      [](const VerdictRecord& v, std::int64_t d) { return v.day < d; });
+  for (; pos != rows.end() && pos->day * stats::kSecPerDay < t1; ++pos) {
+    out.push_back(*pos);
   }
   return out;
 }
@@ -352,7 +358,20 @@ ServiceStats CongestionService::Stats() const {
 
 std::string CongestionService::VerdictLogText() const {
   runtime::MutexLock lock(mu_);
-  return log_;
+  // Days closed in ascending order and links ascending within a day, so
+  // (day, link) order is close order.
+  std::vector<const VerdictRecord*> rows;
+  rows.reserve(verdict_rows_);
+  for (const auto& [link, link_rows] : index_) {
+    for (const VerdictRecord& v : link_rows) rows.push_back(&v);
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const VerdictRecord* a, const VerdictRecord* b) {
+              return a->day != b->day ? a->day < b->day : a->link < b->link;
+            });
+  std::string log;
+  for (const VerdictRecord* v : rows) log += FormatVerdictLine(*v);
+  return log;
 }
 
 std::int64_t CongestionService::LastClosedDay() const {

@@ -17,11 +17,12 @@
 // marker to every shard, make the day durable in the WAL (pending samples,
 // then the close marker and its fdatasync) while the shards finalize, wait
 // for each shard's acknowledgment, collect and merge the deposited
-// verdicts, append to the log. A day's verdicts therefore publish only
-// after its marker is durable, and the close costs the longer of the sync
-// and the shards' finalize, not their sum. Submit and the close
-// path are single-producer (one thread — the daemon event loop); queries
-// may come from any thread.
+// verdict rows and quality rows into the index. Publishing stores rows
+// only; VerdictLogText renders them as text when asked. A day's verdicts
+// therefore publish only after its marker is durable, and the close costs
+// the longer of the sync and the shards' finalize, not their sum. Submit
+// and the close path are single-producer (one thread — the daemon event
+// loop); queries may come from any thread.
 #pragma once
 
 #include <cstdint>
@@ -148,6 +149,7 @@ class CongestionService {
   ServiceStats Stats() const;
   // The canonical, append-only verdict log (FormatVerdictLine rows, days in
   // close order, links ascending within a day) — what the replay gate diffs.
+  // Rendered from the stored rows on each call.
   std::string VerdictLogText() const;
   std::int64_t LastClosedDay() const;  // kNoDayClosed before the first close
 
@@ -192,12 +194,15 @@ class CongestionService {
   std::uint64_t samples_consumed_ = 0;
   bool replaying_ = false;
   bool degraded_ = false;
+  // Accepted since the last PublishShards, which moves them into
+  // samples_accepted_ once per published run.
+  std::uint64_t run_accepted_ = 0;
   std::atomic<std::uint64_t> samples_accepted_{0};
   std::atomic<std::uint64_t> samples_late_{0};
   std::atomic<std::uint64_t> samples_rejected_{0};
 
   mutable runtime::Mutex mu_;
-  std::string log_ GUARDED_BY(mu_);
+  // Per link, its verdict rows in ascending day order.
   std::map<topo::LinkId, std::vector<VerdictRecord>> index_ GUARDED_BY(mu_);
   std::map<topo::LinkId, infer::DataQuality> quality_ GUARDED_BY(mu_);
   std::uint64_t verdict_rows_ GUARDED_BY(mu_) = 0;

@@ -313,7 +313,6 @@ TEST(Rolling, MatchesBatchDayByDay) {
   stats::Rng rng(13);
   AutocorrConfig cfg;
   RollingAutocorr rolling(cfg);
-  std::deque<std::vector<float>> far_hist, near_hist;
 
   for (int d = 0; d < 120; ++d) {
     std::vector<float> far(96), near(96);

@@ -211,6 +211,38 @@ TEST(SpscRing, RunLongerThanCapacityReachesALiveConsumer) {
   for (std::uint64_t i = 0; i < kCount; ++i) EXPECT_EQ(seen[i], i);
 }
 
+// The producer stages against a cached copy of the consumer cursor and
+// re-reads head_ only when that copy says the ring is full. With four slots
+// and a consumer that frees one slot per pop, the cached copy is stale at
+// almost every full check: each refresh must see the freed slot, and no
+// record may be overwritten or lost. A producer that never refreshed would
+// park forever on a ring the consumer has long drained.
+TEST(SpscRing, CachedHeadRefreshesOnlyWhenFull) {
+  SpscRing<std::uint64_t> ring(4);
+  constexpr std::uint64_t kCount = 10'000;
+  std::vector<std::uint64_t> seen;
+  seen.reserve(kCount);
+  std::thread consumer([&] {
+    std::uint64_t v = 0;
+    while (seen.size() < kCount) {
+      if (ring.TryPop(&v)) {
+        seen.push_back(v);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  auto producer = std::async(std::launch::async, [&] {
+    for (std::uint64_t i = 0; i < kCount; ++i) ring.Push(i);
+  });
+  WaitOrAbort(producer, std::chrono::seconds(30),
+              "producer parked on a ring the consumer had freed");
+  consumer.join();
+  ASSERT_EQ(seen.size(), kCount);
+  for (std::uint64_t i = 0; i < kCount; ++i) ASSERT_EQ(seen[i], i);
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+}
+
 // Mixed run lengths around the 64-slot capacity (shorter, equal, longer),
 // drained in runs: every record arrives exactly once and in order.
 TEST(SpscRing, BlockingStressTransfersEverything) {
@@ -708,6 +740,71 @@ TEST(CongestionService, QueryPlaneSemantics) {
   EXPECT_EQ(stats.last_closed_day, 9);
   EXPECT_EQ(stats.links, 4u);
   EXPECT_GT(stats.raw_points, 0u);
+  service.Stop();
+}
+
+// QueryRange finds a link's first row by binary search. Its answer must be
+// exactly what a scan of every row gives: rows whose day is on or after
+// t0's day and starts before t1. The reference scan runs over the link's
+// rows as the verdict log lists them.
+TEST(CongestionService, QueryRangeMatchesALinearScan) {
+  const std::vector<Sample> stream = SyntheticStream(3, 16);
+  CongestionService service(SmallServiceConfig(2));
+  service.Start();
+  EXPECT_EQ(service.SubmitBatch(stream).accepted, stream.size());
+  service.FinishStream();
+  const std::string log = service.VerdictLogText();
+  const TimeSec D = stats::kSecPerDay;
+
+  for (topo::LinkId link = 1; link <= 3; ++link) {
+    // The link's rows, in log order.
+    std::vector<std::int64_t> days;
+    const std::string tag = " link=" + std::to_string(link) + " ";
+    for (std::size_t at = 0; at < log.size();) {
+      const std::size_t end = log.find('\n', at);
+      const std::string line = log.substr(at, end - at);
+      if (line.find(tag) != std::string::npos) {
+        days.push_back(std::stoll(line.substr(4)));
+      }
+      at = end + 1;
+    }
+    ASSERT_FALSE(days.empty());
+    const auto scan = [&](TimeSec t0, TimeSec t1) {
+      std::vector<std::int64_t> out;
+      for (const std::int64_t d : days) {
+        if (d >= stats::DayOf(t0) && d * D < t1) out.push_back(d);
+      }
+      return out;
+    };
+    const TimeSec first = days.front() * D, last = days.back() * D;
+    std::vector<std::pair<TimeSec, TimeSec>> ranges = {
+        {first + 3 * D + D / 2, first + 6 * D},      // t0 mid-day
+        {first + D, first + 4 * D},                  // t1 on a day boundary
+        {first + 2 * D + 7200, first + 2 * D + 60},  // t1 <= t0, same day
+        {first + 5 * D, first + 2 * D},              // t1 <= t0
+        {first + 4 * D, first + 4 * D},              // empty, t1 == t0
+        {first - 30 * D, first - 2 * D},             // before the first
+        {first - 30 * D, first + 1},                 // ends inside the first
+        {last + D, last + 40 * D},                   // after the last
+        {last + D / 2, last + 40 * D},               // starts inside the last
+        {-1000 * D, 1000 * D},                       // everything
+    };
+    stats::Rng rng(link);
+    for (int i = 0; i < 200; ++i) {
+      const auto t0 = static_cast<TimeSec>(rng.UniformInt(30 * D)) - 5 * D;
+      const auto t1 = static_cast<TimeSec>(rng.UniformInt(30 * D)) - 5 * D;
+      ranges.emplace_back(t0, t1);
+    }
+    for (const auto& [t0, t1] : ranges) {
+      std::vector<std::int64_t> got;
+      for (const VerdictRecord& v : service.QueryRange(link, t0, t1)) {
+        EXPECT_EQ(v.link, link);
+        got.push_back(v.day);
+      }
+      EXPECT_EQ(got, scan(t0, t1))
+          << "link " << link << " t0 " << t0 << " t1 " << t1;
+    }
+  }
   service.Stop();
 }
 
