@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "infer/autocorr.h"
 #include "infer/level_shift.h"
@@ -203,6 +205,44 @@ void BM_TsdbWriteQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TsdbWriteQuery);
+
+// The raw store's day close under the default 50-day horizon: 116 series
+// (the ingest workload's 58 links, far and near), each holding 50 days of
+// 15-minute points plus gap markers; one iteration appends the next day to
+// every series and trims them all. Trimming costs the points it drops, not
+// the 50 days it keeps.
+void BM_TsdbRetentionPerClose(benchmark::State& state) {
+  constexpr int kSeries = 116;
+  constexpr stats::TimeSec kDay = 86400;
+  constexpr stats::TimeSec kBin = 900;
+  tsdb::Database db;
+  std::vector<tsdb::Database::SeriesHandle> series;
+  for (int i = 0; i < kSeries; ++i) {
+    series.push_back(db.OpenSeries(
+        "tslp_rtt", tsdb::TagSet{{"link", std::to_string(i / 2)},
+                                 {"side", i % 2 == 0 ? "far" : "near"}}));
+  }
+  stats::TimeSec day = 0;
+  const auto append_day = [&] {
+    for (const tsdb::Database::SeriesHandle& h : series) {
+      for (stats::TimeSec t = day * kDay; t < (day + 1) * kDay; t += kBin) {
+        if ((t / kBin) % 16 == 0) {
+          (void)db.AppendMissing(h, t);
+        } else {
+          (void)db.Append(h, t, 10.0);
+        }
+      }
+    }
+    ++day;
+  };
+  while (day < 50) append_day();
+  for (auto _ : state) {
+    append_day();
+    benchmark::DoNotOptimize(db.EnforceRetention("tslp_rtt", 50 * kDay));
+  }
+  state.SetItemsProcessed(state.iterations() * kSeries);
+}
+BENCHMARK(BM_TsdbRetentionPerClose);
 
 // ---- runtime ----------------------------------------------------------------
 

@@ -17,7 +17,9 @@
 #      mid-stream and torn WAL appends — restarts and recovers each time,
 #      at 1 and at 4 ingest shards; every recovered verdict log must be
 #      byte-identical to the uncrashed reference, and the two references
-#      must match each other), and bench/perf_gate (full workload, best-of-3
+#      must match each other; then again with 4 KiB WAL segments so the
+#      daemon checkpoints and retires segments, half the kills landing
+#      inside a checkpoint), and bench/perf_gate (full workload, best-of-3
 #      reps) with the WAL on (the BENCH json must be produced and well-formed, and
 #      scripts/perf_compare.sh must find it within 20% of the newest
 #      committed BENCH_*.json baseline on ingest rate and p99 query
@@ -32,8 +34,8 @@
 #      ENOSPC degradation, and the streamed WAL reader), plus the faulted
 #      chaos study through the full serving plane (--serve, 4 ingest
 #      shards: daemon event loop, shard workers, and the query plane all
-#      under TSan) and a crashloop kill/recover cycle (WAL replay and the
-#      drain path under TSan), then UBSan (-DMANIC_SANITIZE=undefined,
+#      under TSan) and crashloop kill/recover cycles (WAL replay and the
+#      drain path under TSan, with and without checkpoints), then UBSan (-DMANIC_SANITIZE=undefined,
 #      non-recoverable) running the full suite
 #      (set MANIC_CHECK_SKIP_UBSAN=1 to skip the UBSan half);
 #   6. static analysis: manic_lint --json over src/ bench/ tests/ examples/
@@ -149,6 +151,24 @@ if ! cmp -s "$OUT_DIR/crashloop_s1/reference.log" \
   exit 1
 fi
 echo "crash-recovery gate OK: 10 seeded kills survived at 1 and 4 shards, recovered logs byte-identical."
+# The same gate with 4 KiB WAL segments: the daemon checkpoints and retires
+# segments at nearly every day close, and half the kills die inside a
+# checkpoint (manifest half written; committed, WAL not rolled; rolled,
+# covered segments not yet deleted). Recovery must stay byte-identical, and
+# the checkpointing reference must equal the checkpoint-free one.
+rm -rf "$OUT_DIR/crashloop_ckpt_s1" "$OUT_DIR/crashloop_ckpt_s4"
+./build/tools/crashloop --out-dir "$OUT_DIR/crashloop_ckpt_s1" --shards 1 \
+  --kills 10 --seed 7 --segment-bytes 4096
+./build/tools/crashloop --out-dir "$OUT_DIR/crashloop_ckpt_s4" --shards 4 \
+  --kills 10 --seed 7 --segment-bytes 4096
+for ref in "$OUT_DIR/crashloop_ckpt_s1/reference.log" \
+           "$OUT_DIR/crashloop_ckpt_s4/reference.log"; do
+  if ! cmp -s "$OUT_DIR/crashloop_s1/reference.log" "$ref"; then
+    echo "FAIL: checkpointing crashloop reference differs: $ref" >&2
+    exit 1
+  fi
+done
+echo "checkpoint crash gate OK: 10 seeded kills (checkpoint kills included) survived at 1 and 4 shards, logs byte-identical."
 # Full workload, not --quick: the committed baseline is a full run, and a
 # quick run cannot amortize its day-close fsyncs over enough samples to sit
 # in the same 20% band. Best-of-3 inside perf_gate keeps this a few seconds.
@@ -165,7 +185,7 @@ cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
   test_serve test_serve_wal example_continental_study crashloop
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|CongestionService|ServiceWal|WalRecovery'
+  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|CongestionService|ServiceWal|WalRecovery|ServiceCheckpoint'
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
 # collector handshake, exercised by the faulted chaos study end to end.
 ./build-tsan/examples/example_continental_study 45 4 4 \
@@ -180,6 +200,12 @@ rm -rf "$OUT_DIR/tsan_crashloop"
 ./build-tsan/tools/crashloop --out-dir "$OUT_DIR/tsan_crashloop" --shards 4 \
   --kills 2 --seed 3
 echo "TSan crashloop OK (2 seeded kills, recover + drain under the race detector)."
+# And with checkpoints: the shard workers write their parts at the marker
+# while the producer syncs it, and recovery restores them, under TSan.
+rm -rf "$OUT_DIR/tsan_crashloop_ckpt"
+./build-tsan/tools/crashloop --out-dir "$OUT_DIR/tsan_crashloop_ckpt" \
+  --shards 4 --kills 4 --seed 3 --segment-bytes 4096
+echo "TSan checkpoint crashloop OK (4 seeded kills, checkpoints under the race detector)."
 if [ "${MANIC_CHECK_SKIP_UBSAN:-0}" != "1" ]; then
   cmake -B build-ubsan -S . -DMANIC_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "runtime/checkpoint.h"
+
 namespace manic::infer {
 
 RollingAutocorr::RollingAutocorr(AutocorrConfig config)
@@ -31,18 +33,43 @@ void RollingAutocorr::RecomputeFlags() {
   for (int d = 0; d < days_; ++d) FlagDay(Slot(d));
 }
 
+void RollingAutocorr::EnsureRings() {
+  if (!far_.empty()) return;
+  const std::size_t window = static_cast<std::size_t>(config_.window_days);
+  far_.resize(window * counts_.size());
+  near_.resize(window * counts_.size());
+  flags_.resize(window * counts_.size());
+  day_far_min_.resize(window);
+  day_near_min_.resize(window);
+  day_defined_.resize(window);
+}
+
+void RollingAutocorr::SummarizeDay(std::size_t slot) {
+  const std::size_t row = Row(slot);
+  float far_min = std::numeric_limits<float>::infinity();
+  float near_min = std::numeric_limits<float>::infinity();
+  int defined = 0;
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    const float fv = far_[row + s];
+    const float nv = near_[row + s];
+    if (!DayGrid::Missing(fv)) {
+      far_min = std::min(far_min, fv);
+      ++defined;
+    }
+    if (!DayGrid::Missing(nv)) near_min = std::min(near_min, nv);
+  }
+  day_far_min_[slot] = far_min;
+  day_near_min_[slot] = near_min;
+  day_defined_[slot] = defined;
+  defined_ += static_cast<std::size_t>(defined);
+  far_min_ = std::min(far_min_, static_cast<double>(far_min));
+  near_min_ = std::min(near_min_, static_cast<double>(near_min));
+}
+
 void RollingAutocorr::AddDay(std::span<const float> far,
                              std::span<const float> near) {
   const std::size_t intervals = counts_.size();
-  const std::size_t window = static_cast<std::size_t>(config_.window_days);
-  if (far_.empty()) {
-    far_.resize(window * intervals);
-    near_.resize(window * intervals);
-    flags_.resize(window * intervals);
-    day_far_min_.resize(window);
-    day_near_min_.resize(window);
-    day_defined_.resize(window);
-  }
+  EnsureRings();
   const double old_far_min = far_min_;
   const double old_near_min = near_min_;
 
@@ -70,28 +97,10 @@ void RollingAutocorr::AddDay(std::span<const float> far,
     }
   }
 
-  const std::size_t row = Row(slot);
-  float far_min = std::numeric_limits<float>::infinity();
-  float near_min = std::numeric_limits<float>::infinity();
-  int defined = 0;
-  for (std::size_t s = 0; s < intervals; ++s) {
-    const float fv = far[s];
-    const float nv = near[s];
-    far_[row + s] = fv;
-    near_[row + s] = nv;
-    if (!DayGrid::Missing(fv)) {
-      far_min = std::min(far_min, fv);
-      ++defined;
-    }
-    if (!DayGrid::Missing(nv)) near_min = std::min(near_min, nv);
-  }
-  day_far_min_[slot] = far_min;
-  day_near_min_[slot] = near_min;
-  day_defined_[slot] = defined;
-  defined_ += static_cast<std::size_t>(defined);
+  std::copy_n(far.begin(), intervals, far_.begin() + Row(slot));
+  std::copy_n(near.begin(), intervals, near_.begin() + Row(slot));
+  SummarizeDay(slot);
   ++days_;
-  far_min_ = std::min(far_min_, static_cast<double>(far_min));
-  near_min_ = std::min(near_min_, static_cast<double>(near_min));
 
   // Flags depend only on the two thresholds: while neither moves, every
   // held day keeps its flags and only the new day needs them.
@@ -100,6 +109,40 @@ void RollingAutocorr::AddDay(std::span<const float> far,
   } else {
     FlagDay(slot);
   }
+}
+
+void RollingAutocorr::Save(runtime::BlobWriter& out) const {
+  out.PutU32(static_cast<std::uint32_t>(days_));
+  for (int d = 0; d < days_; ++d) {
+    const std::size_t row = Row(Slot(d));
+    for (std::size_t s = 0; s < counts_.size(); ++s) {
+      out.PutFloat(far_[row + s]);
+    }
+    for (std::size_t s = 0; s < counts_.size(); ++s) {
+      out.PutFloat(near_[row + s]);
+    }
+  }
+}
+
+bool RollingAutocorr::Load(runtime::BlobReader& in) {
+  *this = RollingAutocorr(config_);
+  EnsureRings();
+  std::uint32_t days = 0;
+  if (!in.GetU32(&days) || days > day_defined_.size()) return false;
+  // Held days fill slots 0..days-1, oldest first.
+  for (std::size_t slot = 0; slot < days; ++slot) {
+    const std::size_t row = Row(slot);
+    for (std::size_t s = 0; s < counts_.size(); ++s) {
+      if (!in.GetFloat(&far_[row + s])) return false;
+    }
+    for (std::size_t s = 0; s < counts_.size(); ++s) {
+      if (!in.GetFloat(&near_[row + s])) return false;
+    }
+    SummarizeDay(slot);
+  }
+  days_ = static_cast<int>(days);
+  RecomputeFlags();
+  return true;
 }
 
 DayClassification RollingAutocorr::Classify() const {

@@ -12,6 +12,12 @@
 // after, so a day costs no allocation. A running defined-bin count makes
 // Classify O(intervals); the per-day minima give the window minimum on
 // eviction, and the flags are recomputed only when a threshold moves.
+//
+// Save/Load checkpoint the window exactly: the held days oldest first, each
+// as its far and near rows by bit pattern. The minima, defined-bin counts,
+// flags and per-interval counts are functions of those rows (flags always
+// match the current thresholds), so Load rebuilds them instead of trusting
+// them from disk, and the ring slot layout is not part of the format.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +27,11 @@
 #include <vector>
 
 #include "infer/autocorr.h"
+
+namespace manic::runtime {
+class BlobReader;
+class BlobWriter;
+}  // namespace manic::runtime
 
 namespace manic::infer {
 
@@ -55,6 +66,12 @@ class RollingAutocorr {
   // Batch-equivalent view of the current window (for tests).
   AutocorrResult AnalyzeBatch() const;
 
+  // Appends the window's logical state (see the header comment).
+  void Save(runtime::BlobWriter& out) const;
+  // Replaces the state with a saved window of this config's shape. False on
+  // a malformed blob or one holding more than window_days days.
+  [[nodiscard]] bool Load(runtime::BlobReader& in);
+
  private:
   // Ring slot of the i-th held day, oldest first.
   std::size_t Slot(int i) const noexcept {
@@ -63,6 +80,11 @@ class RollingAutocorr {
   std::size_t Row(std::size_t slot) const noexcept {
     return slot * static_cast<std::size_t>(config_.intervals_per_day);
   }
+  // Allocates the rings on first use.
+  void EnsureRings();
+  // Records the minima and defined-bin count of the rows in `slot` and adds
+  // them to the window totals.
+  void SummarizeDay(std::size_t slot);
   // Flags the day in `slot` against the current thresholds and adds its
   // flags to counts_.
   void FlagDay(std::size_t slot);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "runtime/checkpoint.h"
+
 namespace manic::infer {
 
 DataQuality LinkQualityAccumulator::Finish(int total_days) const {
@@ -92,6 +94,81 @@ StreamingClassifier::DayOutcome StreamingClassifier::CloseDay(
     outcome.classification = rolling_.Classify();
   }
   return outcome;
+}
+
+void QualityTally::Save(runtime::BlobWriter& out) const {
+  for (const std::int64_t v :
+       {far_present, far_total, near_present, near_total, prefix_gap,
+        suffix_gap, max_gap, days_observed, churn}) {
+    out.PutI64(v);
+  }
+  out.PutU32((any_bin ? 1u : 0u) | (has_days ? 2u : 0u) |
+             (first_day_observed ? 4u : 0u) | (last_day_observed ? 8u : 0u));
+}
+
+bool QualityTally::Load(runtime::BlobReader& in) {
+  std::uint32_t flags = 0;
+  if (!in.GetI64(&far_present) || !in.GetI64(&far_total) ||
+      !in.GetI64(&near_present) || !in.GetI64(&near_total) ||
+      !in.GetI64(&prefix_gap) || !in.GetI64(&suffix_gap) ||
+      !in.GetI64(&max_gap) || !in.GetI64(&days_observed) ||
+      !in.GetI64(&churn) || !in.GetU32(&flags) || flags > 15u) {
+    return false;
+  }
+  // Every field is a count.
+  if (far_present < 0 || far_total < 0 || near_present < 0 ||
+      near_total < 0 || prefix_gap < 0 || suffix_gap < 0 || max_gap < 0 ||
+      days_observed < 0 || churn < 0) {
+    return false;
+  }
+  any_bin = (flags & 1u) != 0;
+  has_days = (flags & 2u) != 0;
+  first_day_observed = (flags & 4u) != 0;
+  last_day_observed = (flags & 8u) != 0;
+  return true;
+}
+
+void StreamingClassifier::Save(runtime::BlobWriter& out) const {
+  std::vector<const OpenDay*> open;
+  for (const OpenDay& od : open_) {
+    if (od.open) open.push_back(&od);
+  }
+  std::sort(open.begin(), open.end(),
+            [](const OpenDay* a, const OpenDay* b) { return a->day < b->day; });
+  out.PutU32(static_cast<std::uint32_t>(open.size()));
+  for (const OpenDay* od : open) {
+    out.PutI64(od->day);
+    for (const float v : od->far) out.PutFloat(v);
+    for (const float v : od->near) out.PutFloat(v);
+  }
+  rolling_.Save(out);
+  quality_.Save(out);
+}
+
+bool StreamingClassifier::Load(runtime::BlobReader& in) {
+  open_.clear();
+  last_ = 0;
+  std::uint32_t open = 0;
+  // Each open day is at least a day index plus two rows of floats.
+  const std::size_t row_bytes =
+      4 * static_cast<std::size_t>(config_.intervals_per_day);
+  if (!in.GetU32(&open) || open > in.remaining() / (8 + 2 * row_bytes)) {
+    return false;
+  }
+  std::int64_t previous = 0;
+  for (std::uint32_t i = 0; i < open; ++i) {
+    std::int64_t day = 0;
+    if (!in.GetI64(&day) || (i > 0 && day <= previous)) return false;
+    previous = day;
+    OpenDay& od = Open(day);
+    for (float& v : od.far) {
+      if (!in.GetFloat(&v)) return false;
+    }
+    for (float& v : od.near) {
+      if (!in.GetFloat(&v)) return false;
+    }
+  }
+  return rolling_.Load(in) && quality_.Load(in);
 }
 
 }  // namespace manic::infer

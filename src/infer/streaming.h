@@ -17,6 +17,9 @@
 //                         AddSample is O(1) and CloseDay O(intervals); once
 //                         a pair has run, neither allocates (open-day bins
 //                         and the window rings are reused).
+//
+// Each class saves and loads its logical state exactly (runtime::BlobWriter,
+// floats and doubles by bit pattern) for the serving plane's checkpoints.
 #pragma once
 
 #include <algorithm>
@@ -105,6 +108,10 @@ struct QualityTally {
     if (b.has_days) last_day_observed = b.last_day_observed;
     has_days = has_days || b.has_days;
   }
+
+  void Save(runtime::BlobWriter& out) const;
+  // False on a malformed blob.
+  [[nodiscard]] bool Load(runtime::BlobReader& in);
 };
 
 // Per-link DataQuality from per-VP tallies: coverage counts sum across
@@ -166,6 +173,13 @@ class StreamingClassifier {
 
   const QualityTally& quality() const noexcept { return quality_; }
   bool WindowFull() const noexcept { return rolling_.WindowFull(); }
+
+  // The pair's logical state: its open days in ascending day order (each
+  // with both bin rows), the rolling window, and the quality tally.
+  void Save(runtime::BlobWriter& out) const;
+  // Replaces the state with a saved one of this config's shape. False on a
+  // malformed blob.
+  [[nodiscard]] bool Load(runtime::BlobReader& in);
   int DaysHeld() const noexcept { return rolling_.DaysHeld(); }
   std::size_t OpenDays() const noexcept;
 

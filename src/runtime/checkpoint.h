@@ -36,13 +36,11 @@ struct CheckpointRecordHeader {
 
 class BlobWriter {
  public:
-  void PutU64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  }
+  void PutU64(std::uint64_t v) { PutLE<8>(v); }
+  void PutU32(std::uint32_t v) { PutLE<4>(v); }
   void PutI64(std::int64_t v) { PutU64(static_cast<std::uint64_t>(v)); }
   void PutDouble(double v) { PutU64(std::bit_cast<std::uint64_t>(v)); }
+  void PutFloat(float v) { PutU32(std::bit_cast<std::uint32_t>(v)); }
   void PutBytes(std::string_view bytes) {
     PutU64(bytes.size());
     buf_.append(bytes);
@@ -50,8 +48,20 @@ class BlobWriter {
 
   const std::string& str() const noexcept { return buf_; }
   std::string Take() { return std::move(buf_); }
+  // Empties the blob but keeps its capacity, for a writer reused record
+  // after record.
+  void Clear() noexcept { buf_.clear(); }
 
  private:
+  template <int N>
+  void PutLE(std::uint64_t v) {
+    char bytes[N];
+    for (int i = 0; i < N; ++i) {
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+    buf_.append(bytes, N);
+  }
+
   std::string buf_;
 };
 
@@ -69,6 +79,24 @@ class BlobReader {
     }
     pos_ += 8;
     *out = v;
+    return true;
+  }
+  bool GetU32(std::uint32_t* out) noexcept {
+    if (pos_ + 4 > data_.size()) return false;
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(
+               static_cast<unsigned char>(data_[pos_ + i]))
+           << (8 * i);
+    }
+    pos_ += 4;
+    *out = v;
+    return true;
+  }
+  bool GetFloat(float* out) noexcept {
+    std::uint32_t v = 0;
+    if (!GetU32(&v)) return false;
+    *out = std::bit_cast<float>(v);
     return true;
   }
   bool GetI64(std::int64_t* out) noexcept {
@@ -92,6 +120,7 @@ class BlobReader {
   }
 
   bool AtEnd() const noexcept { return pos_ == data_.size(); }
+  std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
  private:
   std::string_view data_;

@@ -43,4 +43,11 @@ std::int64_t ScriptedIoFaults::CrashBytesAt(std::uint64_t record) const {
   return -1;
 }
 
+bool ScriptedIoFaults::CrashInCheckpoint(std::uint64_t ordinal,
+                                         CheckpointStep step) const {
+  return config_.crash_at_checkpoint >= 0 &&
+         ordinal == static_cast<std::uint64_t>(config_.crash_at_checkpoint) &&
+         step == config_.crash_checkpoint_step;
+}
+
 }  // namespace manic::runtime

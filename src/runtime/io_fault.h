@@ -52,11 +52,39 @@ class IoFaultHook {
   virtual std::int64_t CrashBytesAt(std::uint64_t /*record*/) const {
     return -1;
   }
+
+  // The same two seams for the serving plane's checkpoint files
+  // (serve/checkpoint.h), `op` counted per file from 0 — for a manifest,
+  // fsync op 1 is the directory sync after its rename. By default a
+  // checkpoint file sees the faults a log writer would; override these to
+  // fault checkpoints alone (a disk with room for the log's small appends
+  // but not for a checkpoint). Shard workers write their part files
+  // concurrently, so these run on several threads at once.
+  virtual WriteFault CheckpointWriteAt(std::uint64_t op,
+                                       std::size_t len) const {
+    return WriteAt(op, len);
+  }
+  virtual bool CheckpointFsyncOkAt(std::uint64_t op) const {
+    return FsyncOkAt(op);
+  }
+
+  // Crash points inside the serving plane's checkpoints (serve/service.h),
+  // in commit order: with the manifest half written, right after the commit
+  // (before the WAL rolls), and after the roll (before the covered segments
+  // are deleted).
+  enum class CheckpointStep : std::uint8_t { kMidWrite, kCommitted, kRolled };
+  // True: the writer _Exits at `step` of its `ordinal`-th checkpoint (0 =
+  // the first one this process writes).
+  virtual bool CrashInCheckpoint(std::uint64_t /*ordinal*/,
+                                 CheckpointStep /*step*/) const {
+    return false;
+  }
 };
 
 // A seeded fault script over the hook: independent per-op short-write and
 // EINTR draws from a SeedTree, one optional ENOSPC op, one optional fsync
-// failure, and one optional crash point. Deterministic by construction —
+// failure, one optional crash point, and one optional checkpoint crash.
+// Deterministic by construction —
 // the same config yields the same fault sequence on every run.
 class ScriptedIoFaults final : public IoFaultHook {
  public:
@@ -68,6 +96,8 @@ class ScriptedIoFaults final : public IoFaultHook {
     std::int64_t fail_fsync_at = -1;  // fsync op index that fails
     std::int64_t crash_at_record = -1;  // record index to die inside
     std::int64_t crash_bytes = 0;       // bytes of that record to emit first
+    std::int64_t crash_at_checkpoint = -1;  // checkpoint ordinal to die in
+    CheckpointStep crash_checkpoint_step = CheckpointStep::kMidWrite;
   };
 
   explicit ScriptedIoFaults(Config config);
@@ -75,6 +105,8 @@ class ScriptedIoFaults final : public IoFaultHook {
   WriteFault WriteAt(std::uint64_t op, std::size_t len) const override;
   bool FsyncOkAt(std::uint64_t op) const override;
   std::int64_t CrashBytesAt(std::uint64_t record) const override;
+  bool CrashInCheckpoint(std::uint64_t ordinal,
+                         CheckpointStep step) const override;
 
  private:
   Config config_;

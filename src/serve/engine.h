@@ -91,6 +91,25 @@ class ShardEngine {
   std::map<topo::LinkId, infer::DataQuality> QualitySnapshot(
       int total_days) const;
 
+  // ---- checkpoints (the owning thread, or while it is stopped) --------------
+  // Visits every pair as (link, vp, slot) in ascending (link, vp) order.
+  template <typename Visit>
+  void ForEachPair(Visit&& visit) const {
+    for (const auto& [key, slot] : slot_of_) {
+      visit(LinkOf(key), static_cast<topo::VpId>(key & 0xFFFFFFFFu), slot);
+    }
+  }
+  std::size_t pair_count() const noexcept { return pairs_.size(); }
+  const infer::StreamingClassifier& pair(PairSlot slot) const {
+    return pairs_[slot];
+  }
+  infer::StreamingClassifier& pair(PairSlot slot) { return pairs_[slot]; }
+  // A restored engine: every day through `day` is closed.
+  void RestoreClosedThrough(std::int64_t day) noexcept {
+    has_closed_ = true;
+    closed_through_ = day;
+  }
+
   std::uint64_t samples_ingested() const noexcept { return samples_; }
   // Samples dropped because their day was already closed (a closed day can
   // never be finalized again, so binning them would only leak open-day

@@ -3,6 +3,8 @@
 #include <string>
 #include <utility>
 
+#include "serve/checkpoint.h"
+
 namespace manic::serve {
 namespace {
 
@@ -55,6 +57,18 @@ void IngestShard::PushCloseDay(std::int64_t day) {
   ring_.Push(msg);
 }
 
+void IngestShard::PushCheckpointDay(std::int64_t day, std::string part_path,
+                                    bool sync,
+                                    const runtime::IoFaultHook* hook) {
+  checkpoint_path_ = std::move(part_path);
+  checkpoint_sync_ = sync;
+  checkpoint_hook_ = hook;
+  Msg msg;
+  msg.kind = MsgKind::kCheckpointDay;
+  msg.day = day;
+  ring_.Push(msg);  // the release publish carries the request to the worker
+}
+
 void IngestShard::WaitClosed(std::int64_t day) {
   std::int64_t closed = closed_through_.load(std::memory_order_acquire);
   while (closed < day) {
@@ -87,7 +101,8 @@ void IngestShard::WorkerLoop() {
         }
           // manic-lint: hot-path(end)
         case MsgKind::kCloseDay:
-          FinalizeDay(msg.day);
+        case MsgKind::kCheckpointDay:
+          FinalizeDay(msg.day, msg.kind == MsgKind::kCheckpointDay);
           break;
         case MsgKind::kStop:
           stopped = true;
@@ -105,7 +120,7 @@ void IngestShard::PublishCounts() {
                         std::memory_order_relaxed);
 }
 
-void IngestShard::FinalizeDay(std::int64_t day) {
+void IngestShard::FinalizeDay(std::int64_t day, bool checkpoint) {
   PublishCounts();  // a reader after WaitClosed sees every counted point
   day_verdicts_ = engine_.CloseDay(day);
   if (config_.store_raw && config_.retention_horizon_s > 0) {
@@ -114,8 +129,64 @@ void IngestShard::FinalizeDay(std::int64_t day) {
         db_.EnforceRetention("tslp_loss", config_.retention_horizon_s);
     raw_points_.fetch_sub(dropped, std::memory_order_relaxed);
   }
+  if (checkpoint) checkpoint_part_ = WriteCheckpointPart();
   closed_through_.store(day, std::memory_order_release);
   closed_through_.notify_all();
+}
+
+// One record per pair, ascending (link, vp): link, vp, the classifier, then
+// the far, near and loss raw series.
+CheckpointPart IngestShard::WriteCheckpointPart() const {
+  CheckpointFile file;
+  WalStatus status = file.Create(checkpoint_path_, checkpoint_hook_);
+  runtime::BlobWriter record;  // one pair at a time, capacity reused
+  const SeriesHandles unopened;
+  engine_.ForEachPair([&](topo::LinkId link, topo::VpId vp,
+                          ShardEngine::PairSlot slot) {
+    if (status != WalStatus::kOk) return;
+    record.Clear();
+    record.PutU32(link);
+    record.PutU32(vp);
+    engine_.pair(slot).Save(record);
+    const SeriesHandles& series =
+        slot < handles_.size() ? handles_[slot] : unopened;
+    for (const tsdb::Database::SeriesHandle handle :
+         {series.far, series.near, series.loss}) {
+      SaveRawSeries(db_, handle, record);
+    }
+    status = file.AppendRecord(record.str());
+  });
+  if (status == WalStatus::kOk) status = file.Finish(checkpoint_sync_);
+  CheckpointPart part;
+  part.ok = status == WalStatus::kOk;
+  part.bytes = file.bytes();
+  return part;
+}
+
+bool IngestShard::RestorePair(topo::LinkId link, topo::VpId vp,
+                              runtime::BlobReader& in) {
+  const std::size_t pairs_before = engine_.pair_count();
+  const ShardEngine::PairSlot slot = engine_.SlotOf(link, vp);
+  if (slot < pairs_before || !engine_.pair(slot).Load(in)) return false;
+  if (slot >= handles_.size()) handles_.resize(slot + 1);
+  std::uint64_t points = 0;
+  Sample key;
+  key.link = link;
+  key.vp = vp;
+  for (const SampleKind kind :
+       {SampleKind::kFarRtt, SampleKind::kNearRtt, SampleKind::kLossRate}) {
+    key.kind = kind;
+    tsdb::Database::SeriesHandle& handle = handles_[slot].For(kind);
+    const auto open = [&] { return handle = OpenSeries(key); };
+    if (!LoadRawSeries(in, db_, open, &points)) return false;
+  }
+  raw_points_.fetch_add(points, std::memory_order_relaxed);
+  return true;
+}
+
+void IngestShard::RestoreClosedThrough(std::int64_t day) {
+  engine_.RestoreClosedThrough(day);
+  closed_through_.store(day, std::memory_order_relaxed);
 }
 
 // First sample of a series kind for a pair: the tsdb creates the series.
@@ -132,10 +203,11 @@ void IngestShard::Store(ShardEngine::PairSlot slot, const Sample& s) {
   if (slot >= handles_.size()) handles_.resize(slot + 1);  // a new pair
   tsdb::Database::SeriesHandle& handle = handles_[slot].For(s.kind);
   if (!handle) handle = OpenSeries(s);
+  // A point older than its series' newest (samples of a day may arrive in
+  // any order) is kept out of the raw store; inference still has it.
   if (s.kind == SampleKind::kFarMissing || s.kind == SampleKind::kNearMissing) {
-    db_.AppendMissing(handle, s.t);
-  } else {
-    db_.Append(handle, s.t, s.value);
+    (void)db_.AppendMissing(handle, s.t);
+  } else if (db_.Append(handle, s.t, s.value)) {
     ++run_raw_points_;
   }
 }

@@ -27,14 +27,22 @@
 //
 // A sample's engine state and its tsdb series handles share one dense pair
 // slot (ShardEngine::SlotOf): one lookup per sample, not one per map.
+//
+// Checkpoints ride the same way: a checkpoint close marker makes the worker
+// write its pairs to a part file (serve/checkpoint.h) right after it
+// finalizes the day and before it publishes closed_through_, so the part is
+// exactly the stream through the marker and is complete when WaitClosed
+// returns. The worker streams the part one pair record at a time.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "runtime/io_fault.h"
 #include "serve/engine.h"
 #include "serve/ring.h"
 #include "serve/sample.h"
@@ -50,6 +58,13 @@ struct IngestShardConfig {
   // When > 0, raw points older than this horizon (relative to the newest
   // point, per series) are dropped at every day close.
   TimeSec retention_horizon_s = 0;
+};
+
+// What a shard's checkpoint close wrote: its part file's size, or a failure
+// (the checkpoint is then abandoned; the WAL still holds everything).
+struct [[nodiscard]] CheckpointPart {
+  bool ok = false;
+  std::uint64_t bytes = 0;
 };
 
 // The declaration order below narrates ownership (producer lane, worker
@@ -78,6 +93,11 @@ class IngestShard {
   // staged sample. The producer must push close markers in ascending day
   // order, after every sample of that day.
   void PushCloseDay(std::int64_t day);
+  // PushCloseDay that also checkpoints: after finalizing `day` the worker
+  // writes its pairs to `part_path`, fdatasynced when `sync`, through
+  // `hook`'s checkpoint seams (null: no faults).
+  void PushCheckpointDay(std::int64_t day, std::string part_path, bool sync,
+                         const runtime::IoFaultHook* hook);
 
   // ---- collector side --------------------------------------------------------
   // Blocks until the worker has finalized `day`.
@@ -91,6 +111,17 @@ class IngestShard {
   const std::vector<ShardEngine::LinkQuality>& LatestQuality() const {
     return engine_.DayQuality();
   }
+  // The part the most recent checkpoint close wrote — the same validity
+  // window as TakeDayVerdicts.
+  CheckpointPart TakeCheckpointPart() const { return checkpoint_part_; }
+
+  // ---- restore (only while the worker is stopped) --------------------------
+  // Loads one checkpointed pair record (after its link and VP). False on a
+  // malformed record or a pair already present.
+  [[nodiscard]] bool RestorePair(topo::LinkId link, topo::VpId vp,
+                                 runtime::BlobReader& in);
+  // Every day through `day` is closed, as in the checkpointed service.
+  void RestoreClosedThrough(std::int64_t day);
 
   // ---- counters (any thread) -------------------------------------------------
   // Both advance once per drained run and before each day close is
@@ -103,7 +134,12 @@ class IngestShard {
   }
 
  private:
-  enum class MsgKind : std::uint8_t { kSample, kCloseDay, kStop };
+  enum class MsgKind : std::uint8_t {
+    kSample,
+    kCloseDay,
+    kCheckpointDay,
+    kStop,
+  };
   struct Msg {
     MsgKind kind = MsgKind::kSample;
     Sample sample;
@@ -131,8 +167,10 @@ class IngestShard {
   void WorkerLoop();
   // Moves the worker's run-local counts into the shared counters.
   void PublishCounts();
-  // The worker's kCloseDay handler: close the engine day, deposit, publish.
-  void FinalizeDay(std::int64_t day);
+  // The worker's kCloseDay handler: close the engine day, deposit, write the
+  // checkpoint part when asked, publish.
+  void FinalizeDay(std::int64_t day, bool checkpoint);
+  CheckpointPart WriteCheckpointPart() const;
   void Store(ShardEngine::PairSlot slot, const Sample& s);
   tsdb::Database::SeriesHandle OpenSeries(const Sample& s);
 
@@ -149,6 +187,12 @@ class IngestShard {
   std::uint64_t run_samples_ = 0;      // not yet in samples_
   std::uint64_t run_raw_points_ = 0;   // not yet in raw_points_
   std::vector<VerdictRecord> day_verdicts_;
+  // Checkpoint request (producer-written before the marker's ring publish)
+  // and result (worker-written before the closed_through_ release).
+  std::string checkpoint_path_;
+  bool checkpoint_sync_ = false;
+  const runtime::IoFaultHook* checkpoint_hook_ = nullptr;
+  CheckpointPart checkpoint_part_;
 
   // closed_through_ is the collector-vs-worker handshake line; the stat
   // counters live on their own line (they may share it with each other —

@@ -1,8 +1,12 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <limits>
 #include <utility>
 
+#include "serve/checkpoint.h"
 #include "stats/calendar.h"
 
 namespace manic::serve {
@@ -155,6 +159,20 @@ WalRecoverStats CongestionService::RecoverFromWal() {
     stats.ok = true;
     return stats;
   }
+  // The newest committed checkpoint loads into quiescent shards; then every
+  // segment it covers, and every other checkpoint file, is deleted (a crash
+  // may have stopped the last retirement halfway).
+  const std::uint32_t first_live = NewestCheckpoint(config_.wal_dir);
+  std::uint32_t parts_tag = 0;
+  std::uint64_t checkpoint_bytes = 0;
+  if (first_live != 0) {
+    Stop();
+    if (!LoadCheckpoint(first_live, &parts_tag, &checkpoint_bytes,
+                        &stats.error)) {
+      return stats;
+    }
+  }
+  (void)RetireCovered(config_.wal_dir, first_live, parts_tag);
   if (!running_) Start();  // replay needs the shard workers
   replaying_ = true;
   stats = ReadWal(
@@ -171,6 +189,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
       },
       [this](std::int64_t day) { CloseThrough(day); });
   replaying_ = false;
+  stats.checkpoint_bytes = checkpoint_bytes;
   if (!stats.ok) return stats;
   // New appends land in a fresh segment past everything just replayed.
   wal_ = std::make_unique<WalWriter>();
@@ -185,6 +204,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
     stats.error = "cannot open a fresh wal segment under " + config_.wal_dir;
     EnterDegraded();
   }
+  checkpoint_base_segment_ = wal_->segment_index();
   return stats;
 }
 
@@ -246,12 +266,27 @@ std::int64_t CongestionService::FinishStream() {
 void CongestionService::CloseThrough(std::int64_t target_day) {
   while (producer_last_closed_ < target_day) {
     const std::int64_t day = producer_last_closed_ + 1;
+    // The first close after a segment rotation checkpoints (see the header
+    // comment); its parts are named for the segment after the open one.
+    const bool checkpoint =
+        WalLive() && wal_->segment_index() != checkpoint_base_segment_;
+    const std::uint32_t parts_tag = wal_ ? wal_->segment_index() + 1 : 0;
     // Broadcast the in-band close marker first, so the shards finalize the
     // day while the producer makes it durable below. Every sample that can
     // contribute is already staged ahead of the marker (publish-before-
     // marker), and a shard's result is invisible until the publish at the
     // end of this iteration.
-    for (auto& shard : shards_) shard->PushCloseDay(day);
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (checkpoint) {
+        shards_[i]->PushCheckpointDay(
+            day,
+            CheckpointPartPath(config_.wal_dir, parts_tag,
+                               static_cast<std::uint32_t>(i)),
+            config_.wal_fsync != WalFsync::kNone, config_.wal_fault_hook);
+      } else {
+        shards_[i]->PushCloseDay(day);
+      }
+    }
     if (WalLive()) {
       // Durability order: every sample that can contribute to this close,
       // then the close marker (fsynced under kDayClose), then (below) the
@@ -265,10 +300,12 @@ void CongestionService::CloseThrough(std::int64_t target_day) {
     // Wait for every shard to deposit; collecting before the next close is
     // what keeps the deposit slots race-free (see ingest.h).
     std::vector<VerdictRecord> merged;
+    std::vector<CheckpointPart> parts;
     for (auto& shard : shards_) {
       shard->WaitClosed(day);
       std::vector<VerdictRecord> part = shard->TakeDayVerdicts();
       merged.insert(merged.end(), part.begin(), part.end());
+      if (checkpoint) parts.push_back(shard->TakeCheckpointPart());
     }
     // Each link lives on exactly one shard, so link order is a total order
     // over the merged rows — the log is independent of the shard count.
@@ -294,7 +331,266 @@ void CongestionService::CloseThrough(std::int64_t target_day) {
       ++days_closed_;
     }
     producer_last_closed_ = day;
+    if (checkpoint) CommitCheckpoint(day, parts_tag, parts);
   }
+}
+
+void CongestionService::CommitCheckpoint(
+    std::int64_t day, std::uint32_t parts_tag,
+    const std::vector<CheckpointPart>& parts) {
+  using Step = runtime::IoFaultHook::CheckpointStep;
+  const std::uint64_t ordinal = checkpoints_attempted_++;
+  const auto crash_point = [&](Step step) {
+    if (config_.wal_fault_hook != nullptr &&
+        config_.wal_fault_hook->CrashInCheckpoint(ordinal, step)) {
+      std::_Exit(42);
+    }
+  };
+  const std::string& dir = config_.wal_dir;
+  const bool sync = config_.wal_fsync != WalFsync::kNone;
+  // Everything through the marker is in segments up to the open one.
+  const std::uint32_t first_live = wal_->segment_index() + 1;
+  const std::string path = CheckpointPath(dir, first_live);
+  const std::string tmp = path + ".tmp";
+  const auto abandon = [&] {
+    // Nothing is retired yet, so the WAL still holds everything: drop every
+    // file of this checkpoint — the manifest too, when only the directory
+    // sync after its rename failed — and try again after the next segment
+    // rotation, not at the next close (a disk too full for a checkpoint
+    // would otherwise be asked for one at every close).
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    std::filesystem::remove(path, ec);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      std::filesystem::remove(
+          CheckpointPartPath(dir, parts_tag, static_cast<std::uint32_t>(i)),
+          ec);
+    }
+    if (wal_->is_open()) checkpoint_base_segment_ = wal_->segment_index();
+    ++checkpoint_stats_.abandoned;
+  };
+  const auto written = [](const CheckpointPart& p) { return p.ok; };
+  if (!WalLive() || !std::all_of(parts.begin(), parts.end(), written)) {
+    abandon();
+    return;
+  }
+  CheckpointFile file;
+  WalStatus status = file.Create(tmp, config_.wal_fault_hook);
+  runtime::BlobWriter record;  // one record at a time, capacity reused
+  const auto put = [&] {
+    if (status == WalStatus::kOk) status = file.AppendRecord(record.str());
+    record.Clear();
+  };
+
+  CheckpointHeader header;
+  header.first_live_segment = first_live;
+  header.parts_tag = parts_tag;
+  header.parts = static_cast<std::uint32_t>(parts.size());
+  header.day = day;
+  header.window_days =
+      static_cast<std::uint32_t>(config_.engine.autocorr.window_days);
+  header.intervals_per_day =
+      static_cast<std::uint32_t>(config_.engine.autocorr.intervals_per_day);
+  EncodeCheckpointHeader(header, record);
+  if (status == WalStatus::kOk) status = file.Append(record.str());
+  record.Clear();
+  for (const CheckpointPart& part : parts) record.PutU64(part.bytes);
+  put();
+  // The counters the WAL prefix through the marker replays to. Rejected
+  // samples are never logged, so a restart counts them afresh, as before.
+  record.PutU32(saw_sample_ ? 1 : 0);
+  record.PutI64(watermark_t_);
+  record.PutI64(producer_last_closed_);
+  record.PutU64(samples_consumed_);
+  record.PutU64(samples_accepted_.load(std::memory_order_relaxed) +
+                run_accepted_);
+  record.PutU64(samples_late_.load(std::memory_order_relaxed));
+  {
+    runtime::MutexLock lock(mu_);
+    record.PutU64(verdict_rows_);
+    record.PutI64(last_closed_day_);
+    record.PutI64(days_closed_);
+    put();
+    crash_point(Step::kMidWrite);
+    record.PutU64(quality_.size());
+    for (const auto& [link, q] : quality_) {
+      record.PutU32(link);
+      SaveQuality(q, record);
+    }
+    put();
+  }
+  // One record per link, the lock held per link so queries interleave.
+  constexpr std::uint64_t kLastLink = std::numeric_limits<topo::LinkId>::max();
+  for (std::uint64_t next = 0; next <= kLastLink;) {
+    {
+      runtime::MutexLock lock(mu_);
+      const auto it = index_.lower_bound(static_cast<topo::LinkId>(next));
+      if (it == index_.end()) break;
+      record.PutU32(it->first);
+      record.PutU64(it->second.size());
+      for (const VerdictRecord& v : it->second) SaveVerdictRow(v, record);
+      next = std::uint64_t{it->first} + 1;
+    }
+    put();
+  }
+  if (status == WalStatus::kOk) status = file.Finish(sync);
+  if (status == WalStatus::kOk) status = file.CommitAs(path, dir, sync);
+  if (status != WalStatus::kOk) {
+    abandon();
+    return;
+  }
+  crash_point(Step::kCommitted);
+  if (wal_->Roll() != WalStatus::kOk) {
+    EnterDegraded();  // the commit stands; only new appends are lost
+    return;
+  }
+  crash_point(Step::kRolled);
+  checkpoint_stats_.retired_segments +=
+      RetireCovered(dir, first_live, parts_tag);
+  checkpoint_base_segment_ = wal_->segment_index();
+  ++checkpoint_stats_.written;
+}
+
+bool CongestionService::LoadCheckpoint(std::uint32_t first_live,
+                                       std::uint32_t* parts_tag,
+                                       std::uint64_t* bytes,
+                                       std::string* error) {
+  const std::string path = CheckpointPath(config_.wal_dir, first_live);
+  const auto fail = [&](const char* what) {
+    *error = std::string(what) + " in checkpoint " + path;
+    return false;
+  };
+  CheckpointReader manifest;
+  std::string buf;
+  CheckpointHeader header;
+  if (!manifest.Open(path) ||
+      !manifest.ReadExact(CheckpointHeader::kEncodedSize, &buf) ||
+      !DecodeCheckpointHeader(buf, &header)) {
+    return fail("bad header");
+  }
+  // Shard parts are bounded by the service's own shard limit.
+  constexpr std::uint32_t kMaxParts = 4096;
+  const infer::AutocorrConfig& shape = config_.engine.autocorr;
+  if (header.first_live_segment != first_live || header.parts == 0 ||
+      header.parts > kMaxParts ||
+      header.window_days != static_cast<std::uint32_t>(shape.window_days) ||
+      header.intervals_per_day !=
+          static_cast<std::uint32_t>(shape.intervals_per_day)) {
+    return fail("foreign shape");
+  }
+  *parts_tag = header.parts_tag;
+  const auto next_record = [&] {
+    return manifest.ReadRecord(&buf) == CheckpointReader::Next::kRecord;
+  };
+
+  std::vector<std::uint64_t> part_bytes(header.parts);
+  if (!next_record()) return fail("missing part sizes");
+  runtime::BlobReader in(buf);
+  for (std::uint64_t& b : part_bytes) {
+    if (!in.GetU64(&b)) return fail("short part sizes");
+  }
+  if (!in.AtEnd()) return fail("long part sizes");
+
+  if (!next_record()) return fail("missing counters");
+  in = runtime::BlobReader(buf);
+  std::uint32_t saw = 0;
+  std::uint64_t consumed = 0, accepted = 0, late = 0, saved_rows = 0;
+  std::int64_t watermark = 0, last_closed = 0, last_closed_day = 0,
+               days_closed = 0;
+  // The day is checked like a wire sample's, and the row count against the
+  // bytes that could hold it (36 per row).
+  if (!in.GetU32(&saw) || saw > 1 || !in.GetI64(&watermark) ||
+      !in.GetI64(&last_closed) || !in.GetU64(&consumed) ||
+      !in.GetU64(&accepted) || !in.GetU64(&late) || !in.GetU64(&saved_rows) ||
+      !in.GetI64(&last_closed_day) || !in.GetI64(&days_closed) ||
+      !in.AtEnd() || last_closed < -kMaxAbsSampleDay ||
+      last_closed > kMaxAbsSampleDay || last_closed != header.day ||
+      last_closed_day != header.day || saved_rows > manifest.size() / 36 ||
+      days_closed < 0) {
+    return fail("bad counters");
+  }
+  const std::int64_t watermark_day = stats::DayOf(watermark);
+  if (watermark_day < -kMaxAbsSampleDay || watermark_day > kMaxAbsSampleDay) {
+    return fail("bad watermark");
+  }
+  saw_sample_ = saw == 1;
+  watermark_t_ = watermark;
+  producer_last_closed_ = last_closed;
+  samples_consumed_ = consumed;
+  samples_accepted_.store(accepted, std::memory_order_relaxed);
+  samples_late_.store(late, std::memory_order_relaxed);
+
+  runtime::MutexLock lock(mu_);
+  verdict_rows_ = saved_rows;
+  last_closed_day_ = last_closed_day;
+  days_closed_ = days_closed;
+  if (!next_record()) return fail("missing quality");
+  in = runtime::BlobReader(buf);
+  std::uint64_t graded = 0;
+  if (!in.GetU64(&graded) || graded > in.remaining() / 4) {
+    return fail("bad quality count");
+  }
+  for (std::uint64_t i = 0; i < graded; ++i) {
+    std::uint32_t saved_link = 0;
+    infer::DataQuality q;
+    if (!in.GetU32(&saved_link) || !LoadQuality(in, &q) ||
+        !quality_.emplace(saved_link, q).second) {
+      return fail("bad quality");
+    }
+  }
+  if (!in.AtEnd()) return fail("long quality");
+
+  std::uint64_t rows_seen = 0;
+  for (CheckpointReader::Next read = manifest.ReadRecord(&buf);
+       read != CheckpointReader::Next::kEnd; read = manifest.ReadRecord(&buf)) {
+    if (read == CheckpointReader::Next::kCorrupt) return fail("torn record");
+    in = runtime::BlobReader(buf);
+    std::uint32_t saved_link = 0;
+    std::uint64_t n = 0;
+    // 36 bytes per encoded row.
+    if (!in.GetU32(&saved_link) || !in.GetU64(&n) ||
+        n > in.remaining() / 36) {
+      return fail("bad verdict rows");
+    }
+    const auto [slot, fresh] = index_.try_emplace(saved_link);
+    if (!fresh) return fail("repeated link");
+    std::vector<VerdictRecord>& link_rows = slot->second;
+    link_rows.resize(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (!LoadVerdictRow(in, saved_link, &link_rows[i]) ||
+          (i > 0 && link_rows[i].day <= link_rows[i - 1].day)) {
+        return fail("bad verdict row");
+      }
+    }
+    if (!in.AtEnd()) return fail("long verdict rows");
+    rows_seen += n;
+  }
+  if (rows_seen != verdict_rows_) return fail("verdict row count mismatch");
+  *bytes = manifest.size();
+
+  // Pairs route by link, so any shard count restores.
+  for (std::uint32_t k = 0; k < header.parts; ++k) {
+    CheckpointReader part;
+    if (!part.Open(CheckpointPartPath(config_.wal_dir, header.parts_tag, k)) ||
+        part.size() != part_bytes[k]) {
+      return fail("missing or resized part");
+    }
+    for (CheckpointReader::Next read = part.ReadRecord(&buf);
+         read != CheckpointReader::Next::kEnd; read = part.ReadRecord(&buf)) {
+      in = runtime::BlobReader(buf);
+      std::uint32_t saved_link = 0, saved_vp = 0;
+      if (read == CheckpointReader::Next::kCorrupt ||
+          !in.GetU32(&saved_link) || !in.GetU32(&saved_vp) ||
+          !shards_[saved_link % shards_.size()]->RestorePair(saved_link,
+                                                             saved_vp, in) ||
+          !in.AtEnd()) {
+        return fail("bad pair record");
+      }
+    }
+    *bytes += part.size();
+  }
+  for (auto& shard : shards_) shard->RestoreClosedThrough(header.day);
+  return true;
 }
 
 std::vector<VerdictRecord> CongestionService::QueryRange(topo::LinkId link,

@@ -23,6 +23,22 @@
 // the longer of the sync and the shards' finalize, not their sum. Submit
 // and the close path are single-producer (one thread — the daemon event
 // loop); queries may come from any thread.
+//
+// Bounded restart: the first day close after each WAL segment rotation is a
+// checkpoint close (serve/checkpoint.h). Its markers ask every shard to
+// write its pairs as it finalizes the day, so each part is the state
+// through the marker. Commit order: (1) the close marker is synced; (2) the
+// parts and the manifest are written and synced, the manifest renamed into
+// place and the directory synced — the commit; (3) the WAL rolls to a fresh
+// segment; (4) the covered segments and the previous checkpoint are
+// deleted. A crash at any step recovers byte-identically: an uncommitted
+// checkpoint is ignored (the segments it would cover are all still there),
+// and recovery deletes whatever a committed one covers. RecoverFromWal loads
+// the newest committed checkpoint and replays the segments that remain, so
+// a restart replays at most one segment plus one day whatever the uptime.
+// A checkpoint that fails before step (2) completes is deleted whole and
+// tried again after the next rotation, not at the next close. The cadence
+// is wal_segment_bytes; there is no other knob.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +59,7 @@
 #include "serve/sample.h"
 #include "serve/verdict.h"
 #include "serve/wal.h"
+#include "stats/calendar.h"
 
 namespace manic::serve {
 
@@ -55,6 +72,14 @@ inline constexpr std::int64_t kNoDayClosed =
 // overflow the int day-count casts downstream.
 inline constexpr std::int64_t kMaxAbsSampleDay = 1'000'000;
 
+// The default raw retention horizon: the classifier window (50 days). A
+// verdict reads only the window's bins, never the raw store (only
+// Stats().raw_points does), so this bounds memory and checkpoint size
+// without changing any verdict.
+inline constexpr TimeSec kDefaultRetentionHorizonS =
+    infer::AutocorrConfig{}.window_days * stats::kSecPerDay;
+static_assert(kDefaultRetentionHorizonS == 50 * stats::kSecPerDay);
+
 // Declaration order groups by concern (admission, sharding, durability);
 // the 8 reorderable padding bytes are irrelevant in a one-per-process
 // config struct.
@@ -62,7 +87,9 @@ inline constexpr std::int64_t kMaxAbsSampleDay = 1'000'000;
 struct ServiceConfig {
   EngineConfig engine;
   std::size_t ring_capacity = 1 << 14;
-  TimeSec retention_horizon_s = 0;  // 0 = keep every raw point
+  // Raw points older than this (per series, before its newest point) are
+  // dropped at each day close; 0 = keep every raw point.
+  TimeSec retention_horizon_s = kDefaultRetentionHorizonS;
   // Live-mode event clock for PollClock(); leave null for pure stream mode
   // (replay), where day boundaries come from sample timestamps only.
   runtime::Clock* clock = nullptr;
@@ -78,7 +105,9 @@ struct ServiceConfig {
   // acknowledged, and RecoverFromWal() replays the log on startup so the
   // post-restart verdict log is byte-identical to an uncrashed run.
   std::string wal_dir;
+  // kNone also skips the checkpoint syncs (the page cache is trusted).
   WalFsync wal_fsync = WalFsync::kDayClose;
+  // Segment size, and so the checkpoint cadence (see the header comment).
   std::size_t wal_segment_bytes = 64u << 20;
   // Fault-injection seam behind the WAL's file writes; null = no faults.
   runtime::IoFaultHook* wal_fault_hook = nullptr;
@@ -103,6 +132,14 @@ struct [[nodiscard]] SubmitSummary {
   std::uint64_t shed = 0;
 };
 
+// Background work of the bounded restart, for this process. Producer
+// thread.
+struct CheckpointStats {
+  std::uint64_t written = 0;    // checkpoints committed
+  std::uint64_t abandoned = 0;  // failed before the commit (WAL kept whole)
+  std::uint64_t retired_segments = 0;  // WAL segments deleted after commits
+};
+
 class CongestionService {
  public:
   explicit CongestionService(ServiceConfig config = {});
@@ -115,10 +152,12 @@ class CongestionService {
   void Stop();
 
   // ---- crash safety (producer thread, before serving) -----------------------
-  // Replays the WAL under config.wal_dir through the shards (starting them
-  // if needed), then opens a fresh segment for new appends. Call once,
-  // before the daemon loop runs. A no-op success when wal_dir is empty.
-  // Idempotent under crashes: dying inside recovery loses nothing.
+  // Loads the newest committed checkpoint under config.wal_dir (if any),
+  // deletes the segments it covers, replays the remaining WAL through the
+  // shards (starting them if needed), then opens a fresh segment for new
+  // appends. Call once, before the daemon loop runs. A no-op success when
+  // wal_dir is empty. Idempotent under crashes: dying inside recovery loses
+  // nothing. The checkpoint restores at any shard count.
   WalRecoverStats RecoverFromWal();
   // Graceful-drain epilogue: flushes the un-appended tail of consumed
   // samples, fsyncs, and stamps the clean-shutdown marker. kOk when no WAL
@@ -129,6 +168,9 @@ class CongestionService {
   // True once a WAL append has failed with ENOSPC: ingest is shed, queries
   // still served. Producer thread.
   bool degraded() const noexcept { return degraded_; }
+  const CheckpointStats& checkpoint_stats() const noexcept {
+    return checkpoint_stats_;
+  }
 
   // ---- ingest (single producer thread) --------------------------------------
   SubmitOutcome Submit(const Sample& s);
@@ -172,6 +214,14 @@ class CongestionService {
   bool WalLive() const noexcept {
     return wal_ != nullptr && wal_->is_open() && !degraded_ && !replaying_;
   }
+  // Steps (2)-(4) of a checkpoint close (see the header comment), after the
+  // day published; `parts` are what the shards wrote.
+  void CommitCheckpoint(std::int64_t day, std::uint32_t parts_tag,
+                        const std::vector<CheckpointPart>& parts);
+  // Restores the checkpoint ckpt-<first_live> into the stopped shards and
+  // the service fields. False (with *error) when it is malformed.
+  bool LoadCheckpoint(std::uint32_t first_live, std::uint32_t* parts_tag,
+                      std::uint64_t* bytes, std::string* error);
   // Appends the pending run of consumed samples as one WAL record.
   WalStatus FlushWalPending();
   // The ENOSPC ladder: drop the WAL, shed ingest, keep the query plane.
@@ -194,14 +244,22 @@ class CongestionService {
   std::uint64_t samples_consumed_ = 0;
   bool replaying_ = false;
   bool degraded_ = false;
+  // The segment open after the last checkpoint roll (or recovery): a close
+  // that finds the WAL on a later segment checkpoints.
+  std::uint32_t checkpoint_base_segment_ = 0;
+  std::uint64_t checkpoints_attempted_ = 0;  // the crash seam's ordinal
+  CheckpointStats checkpoint_stats_;
   // Accepted since the last PublishShards, which moves them into
   // samples_accepted_ once per published run.
   std::uint64_t run_accepted_ = 0;
-  std::atomic<std::uint64_t> samples_accepted_{0};
+  // The ingest counters: producer-written, read by Stats() from any thread.
+  // Their own line, apart from the producer's plain fields and from the
+  // query lock (see `same-line` in tools/manic_lint/layout.txt).
+  alignas(64) std::atomic<std::uint64_t> samples_accepted_{0};
   std::atomic<std::uint64_t> samples_late_{0};
   std::atomic<std::uint64_t> samples_rejected_{0};
 
-  mutable runtime::Mutex mu_;
+  alignas(64) mutable runtime::Mutex mu_;
   // Per link, its verdict rows in ascending day order.
   std::map<topo::LinkId, std::vector<VerdictRecord>> index_ GUARDED_BY(mu_);
   std::map<topo::LinkId, infer::DataQuality> quality_ GUARDED_BY(mu_);

@@ -32,19 +32,40 @@ std::string CleanMarkerPath(const std::string& dir) {
   return dir + "/" + kCleanMarker;
 }
 
-// Segment index parsed from a "wal-NNNNNN.seg" file name; 0 = not a segment.
-std::uint32_t SegmentIndexOf(const std::string& name) {
-  if (name.size() != 14 || name.compare(0, 4, "wal-") != 0 ||
-      name.compare(10, 4, ".seg") != 0) {
+// The six-digit number in a name of the form <prefix>NNNNNN<suffix>; 0 when
+// the name has another form.
+std::uint32_t NumberIn(const std::string& name, std::string_view prefix,
+                       std::string_view suffix) {
+  if (name.size() != prefix.size() + 6 + suffix.size() ||
+      name.compare(0, prefix.size(), prefix) != 0 ||
+      name.compare(prefix.size() + 6, suffix.size(), suffix) != 0) {
     return 0;
   }
   std::uint32_t index = 0;
-  for (std::size_t i = 4; i < 10; ++i) {
+  for (std::size_t i = prefix.size(); i < prefix.size() + 6; ++i) {
     const char c = name[i];
     if (c < '0' || c > '9') return 0;
     index = index * 10 + static_cast<std::uint32_t>(c - '0');
   }
   return index;
+}
+
+// Segment index of a "wal-NNNNNN.seg" file name; 0 = not a segment.
+std::uint32_t SegmentIndexOf(const std::string& name) {
+  return NumberIn(name, "wal-", ".seg");
+}
+
+// Checkpoint number of a committed "ckpt-NNNNNN" manifest name; 0 = not one
+// (parts and .tmp files carry a suffix).
+std::uint32_t CheckpointIndexOf(const std::string& name) {
+  return NumberIn(name, "ckpt-", "");
+}
+
+// "ckpt-NNNNNN": the manifest of the checkpoint numbered `first_live`.
+std::string CheckpointName(std::uint32_t first_live) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "ckpt-%06u", first_live);
+  return name;
 }
 
 // Ascending list of (index, path) for every segment under dir.
@@ -73,10 +94,19 @@ WalStatus WalWriter::Open(const WalConfig& config) {
   if (ec) return WalStatus::kIoError;
   // Appending again: the log is live, the previous clean shutdown is over.
   std::filesystem::remove(CleanMarkerPath(config_.dir), ec);
-  next_segment_ = 1;
+  next_segment_ = std::max<std::uint32_t>(1, NewestCheckpoint(config_.dir));
   for (const auto& [index, path] : ListSegments(config_.dir)) {
     if (index >= next_segment_) next_segment_ = index + 1;
   }
+  return OpenSegment();
+}
+
+WalStatus WalWriter::Roll() {
+  if (fd_ < 0) return WalStatus::kIoError;
+  const WalStatus sealed = FsyncNow();
+  if (sealed != WalStatus::kOk) return sealed;
+  ::close(fd_);
+  fd_ = -1;
   return OpenSegment();
 }
 
@@ -147,15 +177,9 @@ WalStatus WalWriter::AppendFrame(std::string_view frame, bool day_close) {
     const WalStatus synced = FsyncNow();
     if (synced != WalStatus::kOk) return synced;
   }
-  if (segment_written_ >= config_.segment_bytes) {
-    // Seal the full segment (its bytes must outlive the rotation) and roll
-    // to the next — a cold, once-per-64MiB branch.
-    const WalStatus sealed = FsyncNow();
-    if (sealed != WalStatus::kOk) return sealed;
-    ::close(fd_);
-    fd_ = -1;
-    return OpenSegment();
-  }
+  // Seal the full segment (its bytes must outlive the rotation) and roll to
+  // the next — a cold, once-per-64MiB branch.
+  if (segment_written_ >= config_.segment_bytes) return Roll();
   return WalStatus::kOk;
 }
 
@@ -213,12 +237,54 @@ void WalWriter::Abandon() {
   }
 }
 
+std::string CheckpointPath(const std::string& dir, std::uint32_t first_live) {
+  return dir + "/" + CheckpointName(first_live);
+}
+
+std::string CheckpointPartPath(const std::string& dir, std::uint32_t parts_tag,
+                               std::uint32_t part) {
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ".part-%u", part);
+  return CheckpointPath(dir, parts_tag) + suffix;
+}
+
+std::uint32_t NewestCheckpoint(const std::string& dir) {
+  std::uint32_t newest = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    newest = std::max(newest, CheckpointIndexOf(entry.path().filename()));
+  }
+  return newest;
+}
+
+std::uint64_t RetireCovered(const std::string& dir, std::uint32_t first_live,
+                            std::uint32_t parts_tag) {
+  std::uint64_t retired = 0;
+  std::error_code ec;
+  for (const auto& [index, path] : ListSegments(dir)) {
+    if (index < first_live && std::filesystem::remove(path, ec)) ++retired;
+  }
+  // Judged by file name: `dir` may be spelled with a trailing slash, which
+  // the directory listing does not repeat.
+  const std::string keep = CheckpointName(first_live);
+  const std::string keep_parts = CheckpointName(parts_tag) + ".part-";
+  std::vector<std::filesystem::path> stale;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("ckpt-", 0) != 0) continue;
+    if (name == keep || name.rfind(keep_parts, 0) == 0) continue;
+    stale.push_back(entry.path());
+  }
+  for (const auto& path : stale) std::filesystem::remove(path, ec);
+  return retired;
+}
+
 namespace {
 
 // How one segment's replay ended.
 enum class SegmentEnd : std::uint8_t {
   kReplayed,  // every complete record replayed, any torn tail chopped
-  kStub,      // a final segment killed before its magic: removed
+  kEmpty,     // a final segment holding no record: removed
   kFailed,    // stats->error says why
 };
 
@@ -323,7 +389,13 @@ SegmentEnd ReplaySegment(
     }
     stats->truncated_bytes += file_bytes;
     std::filesystem::remove(path, ec);
-    return SegmentEnd::kStub;
+    return SegmentEnd::kEmpty;
+  }
+  if (last && file_bytes == kMagicLen) {
+    // Only the magic: a clean stop's fresh segment, or a roll that died
+    // before its first append. Removed, or every restart would add one.
+    std::filesystem::remove(path, ec);
+    return SegmentEnd::kEmpty;
   }
   const std::size_t leftover = end - begin;
   if (leftover != 0) {
@@ -377,7 +449,7 @@ WalRecoverStats ReadWal(
     const SegmentEnd end = ReplaySegment(segment.fd, path, last, buf.get(),
                                          &batch, on_samples, on_close, &stats);
     if (end == SegmentEnd::kFailed) return stats;
-    if (end == SegmentEnd::kStub) break;
+    if (end == SegmentEnd::kEmpty) break;
     ++stats.segments;
   }
   stats.ok = true;

@@ -6,6 +6,12 @@
 //   wal-000001.seg   [magic "MANICWAL1\n"] [frame] [frame] ...
 //   wal-000002.seg   ...
 //   wal-clean        present only after a graceful CloseClean()
+//   ckpt-NNNNNN      a committed service checkpoint (serve/checkpoint.h):
+//                    the state after every record in the segments numbered
+//                    below NNNNNN, which are therefore retired
+//   ckpt-TTTTTT.part-K  shard K's part of the checkpoint whose header names
+//                    parts tag TTTTTT
+//   ckpt-NNNNNN.tmp  a checkpoint being written: never loaded
 //
 // Each daemon incarnation appends to a fresh segment, so a crash can tear at
 // most the tail of the newest segment; ReadWal chops that torn tail off the
@@ -80,6 +86,9 @@ struct [[nodiscard]] WalRecoverStats {
   bool clean_shutdown = false;  // the wal-clean marker was present
   bool ok = false;
   std::string error;
+  // Set by CongestionService::RecoverFromWal: the size of the checkpoint
+  // loaded before the replay (0 = none).
+  std::uint64_t checkpoint_bytes = 0;
 };
 
 // Appender. One incarnation = one Open() (fresh segment) + appends +
@@ -94,9 +103,12 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   // Creates the directory if needed, removes the clean marker, and opens a
-  // new segment numbered past every existing one.
+  // new segment numbered past every existing one and every segment a
+  // committed checkpoint retired.
   WalStatus Open(const WalConfig& config);
   bool is_open() const noexcept { return fd_ >= 0; }
+  // Number of the segment appends land in.
+  std::uint32_t segment_index() const noexcept { return next_segment_ - 1; }
 
   // One kSubmitBatch record for the run of consumed samples. No-op for an
   // empty span.
@@ -106,6 +118,10 @@ class WalWriter {
 
   // Forces everything appended so far to the platter, regardless of policy.
   WalStatus Sync();
+  // Seals the open segment (fsync) and opens the next one, so nothing
+  // appended from here on shares a segment with what came before — the
+  // checkpoint roll (see serve/service.h).
+  WalStatus Roll();
   // Sync + write the clean-shutdown marker + close the descriptor. The next
   // Open() removes the marker again.
   WalStatus CloseClean();
@@ -133,6 +149,21 @@ class WalWriter {
   std::string frame_buf_;            // reused per-append encode buffer
 };
 
+// Paths of the checkpoint files that share the log's directory (see the
+// header comment).
+std::string CheckpointPath(const std::string& dir, std::uint32_t first_live);
+std::string CheckpointPartPath(const std::string& dir, std::uint32_t parts_tag,
+                               std::uint32_t part);
+// The first_live number of the newest committed checkpoint under dir; 0 when
+// there is none.
+std::uint32_t NewestCheckpoint(const std::string& dir);
+// Retirement: removes every segment numbered below first_live and every
+// checkpoint file but the committed checkpoint `first_live` and its parts.
+// Returns the segments removed. Missing files are not an error: a crash may
+// have stopped an earlier retirement halfway.
+std::uint64_t RetireCovered(const std::string& dir, std::uint32_t first_live,
+                            std::uint32_t parts_tag);
+
 // Bytes ReadWal asks read() for at a time. Recovery holds one chunk plus
 // the largest legal frame (kMaxFramePayload) whatever the segment size.
 inline constexpr std::size_t kWalReadChunkBytes = std::size_t{1} << 20;
@@ -145,11 +176,14 @@ inline constexpr std::size_t kWalReadChunkBytes = std::size_t{1} << 20;
 // buffer into one reused batch (the span handed to `on_samples` is valid
 // only during the call).
 // Chops a torn tail off the newest segment (resize_file) so later appends
-// land on a record boundary — recovery is idempotent: a crash *during*
-// recovery loses nothing, the next attempt replays the identical record
-// stream. Any malformation that is not a torn tail (corrupt framing, a
-// foreign frame type, torn bytes in a non-final segment) fails with ok =
-// false: the log is damaged, not merely interrupted. So does a read error:
+// land on a record boundary, and removes a newest segment that holds no
+// record (a clean stop's fresh segment, or a stub killed before its magic)
+// so restarts do not pile up empty segments. Recovery is idempotent: a
+// crash *during* recovery loses nothing, the next attempt replays the
+// identical record stream. Any malformation that is not a torn tail
+// (corrupt framing, a foreign frame type, torn bytes in a non-final
+// segment) fails with ok = false: the log is damaged, not merely
+// interrupted. So does a read error:
 // it is never taken for end of file, which would truncate durable records.
 WalRecoverStats ReadWal(
     const std::string& dir,

@@ -13,7 +13,7 @@ TimeSeries::TimeSeries(std::vector<Point> points) : points_(std::move(points)) {
 }
 
 void TimeSeries::Append(TimeSec t, double value) {
-  if (!points_.empty() && t < points_.back().t) {
+  if (!empty() && t < points_.back().t) {
     throw std::invalid_argument("TimeSeries::Append: non-monotonic timestamp");
   }
   points_.push_back({t, value});
@@ -21,25 +21,37 @@ void TimeSeries::Append(TimeSec t, double value) {
 
 std::vector<double> TimeSeries::Values() const {
   std::vector<double> out;
-  out.reserve(points_.size());
-  for (const Point& p : points_) out.push_back(p.value);
+  out.reserve(size());
+  for (const Point& p : points()) out.push_back(p.value);
   return out;
 }
 
 std::size_t TimeSeries::LowerBound(TimeSec t0) const noexcept {
+  const std::span<const Point> live = points();
   const auto it = std::lower_bound(
-      points_.begin(), points_.end(), t0,
+      live.begin(), live.end(), t0,
       [](const Point& p, TimeSec t) { return p.t < t; });
-  return static_cast<std::size_t>(it - points_.begin());
+  return static_cast<std::size_t>(it - live.begin());
 }
 
 TimeSeries TimeSeries::Slice(TimeSec t0, TimeSec t1) const {
   TimeSeries out;
   const std::size_t lo = LowerBound(t0);
-  for (std::size_t i = lo; i < points_.size() && points_[i].t < t1; ++i) {
-    out.points_.push_back(points_[i]);
+  for (std::size_t i = lo; i < size() && (*this)[i].t < t1; ++i) {
+    out.points_.push_back((*this)[i]);
   }
   return out;
+}
+
+std::size_t TimeSeries::EraseBefore(TimeSec cutoff) {
+  const std::size_t dropped = LowerBound(cutoff);
+  head_ += dropped;
+  if (head_ >= size()) {
+    points_.erase(points_.begin(),
+                  points_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return dropped;
 }
 
 namespace {
@@ -85,7 +97,7 @@ TimeSeries TimeSeries::Bin(TimeSec width, BinAgg agg, TimeSec origin) const {
   BinState state;
   TimeSec current_bin = 0;
   bool open = false;
-  for (const Point& p : points_) {
+  for (const Point& p : points()) {
     const TimeSec bin = FloorDiv(p.t - origin, width);
     if (open && bin != current_bin) {
       out.points_.push_back({origin + current_bin * width, state.Result(agg)});
@@ -110,9 +122,10 @@ std::vector<std::optional<double>> TimeSeries::BinDense(TimeSec t0, TimeSec t1,
       static_cast<std::size_t>((t1 - t0 + width - 1) / width);
   std::vector<BinState> states(nbins);
   const std::size_t lo = LowerBound(t0);
-  for (std::size_t i = lo; i < points_.size() && points_[i].t < t1; ++i) {
-    const std::size_t bin = static_cast<std::size_t>((points_[i].t - t0) / width);
-    states[bin].Add(points_[i].value);
+  for (std::size_t i = lo; i < size() && (*this)[i].t < t1; ++i) {
+    const std::size_t bin =
+        static_cast<std::size_t>(((*this)[i].t - t0) / width);
+    states[bin].Add((*this)[i].value);
   }
   std::vector<std::optional<double>> out(nbins);
   for (std::size_t i = 0; i < nbins; ++i) {

@@ -29,11 +29,15 @@ class TimeSeries {
   // Appends a point; time must be >= the last appended time.
   void Append(TimeSec t, double value);
 
-  std::size_t size() const noexcept { return points_.size(); }
-  bool empty() const noexcept { return points_.empty(); }
-  const Point& operator[](std::size_t i) const noexcept { return points_[i]; }
-  std::span<const Point> points() const noexcept { return points_; }
-  const Point& front() const noexcept { return points_.front(); }
+  std::size_t size() const noexcept { return points_.size() - head_; }
+  bool empty() const noexcept { return size() == 0; }
+  const Point& operator[](std::size_t i) const noexcept {
+    return points_[head_ + i];
+  }
+  std::span<const Point> points() const noexcept {
+    return std::span<const Point>(points_).subspan(head_);
+  }
+  const Point& front() const noexcept { return points_[head_]; }
   const Point& back() const noexcept { return points_.back(); }
 
   // All values, in time order.
@@ -56,10 +60,19 @@ class TimeSeries {
   std::vector<std::optional<double>> BinDense(TimeSec t0, TimeSec t1,
                                               TimeSec width, BinAgg agg) const;
 
-  void Clear() noexcept { points_.clear(); }
+  // Drops every point with t < cutoff; returns how many. Amortized O(points
+  // dropped): the dead prefix is skipped, and moved out only once it is at
+  // least as long as the live points.
+  std::size_t EraseBefore(TimeSec cutoff);
+
+  void Clear() noexcept {
+    points_.clear();
+    head_ = 0;
+  }
 
  private:
   std::vector<Point> points_;
+  std::size_t head_ = 0;  // points_[0, head_) are erased
 };
 
 }  // namespace manic::stats

@@ -76,12 +76,24 @@ Database::SeriesHandle Database::OpenSeries(std::string_view measurement,
   return SeriesHandle(&ResolveSeries(measurement, tags));
 }
 
-void Database::Append(SeriesHandle handle, TimeSec t, double value) {
-  if (handle.series_ != nullptr) handle.series_->data.Append(t, value);
+namespace {
+
+bool AppendInOrder(stats::TimeSeries& series, TimeSec t, double value) {
+  if (!series.empty() && t < series.back().t) return false;
+  series.Append(t, value);
+  return true;
 }
 
-void Database::AppendMissing(SeriesHandle handle, TimeSec t) {
-  if (handle.series_ != nullptr) handle.series_->missing.Append(t, 0.0);
+}  // namespace
+
+bool Database::Append(SeriesHandle handle, TimeSec t, double value) {
+  return handle.series_ != nullptr &&
+         AppendInOrder(handle.series_->data, t, value);
+}
+
+bool Database::AppendMissing(SeriesHandle handle, TimeSec t) {
+  return handle.series_ != nullptr &&
+         AppendInOrder(handle.series_->missing, t, 0.0);
 }
 
 Database::CoverageStats Database::Coverage(std::string_view measurement,
@@ -162,13 +174,15 @@ std::size_t Database::EnforceRetention(std::string_view measurement,
   if (table == tables_.end()) return 0;
   std::size_t dropped = 0;
   for (auto& [key, series] : table->second) {
-    if (series.data.empty()) continue;
-    const TimeSec cutoff = series.data.back().t - horizon;
-    const std::size_t keep_from = series.data.LowerBound(cutoff);
-    if (keep_from == 0) continue;
-    dropped += keep_from;
-    stats::TimeSeries trimmed = series.data.Slice(cutoff, series.data.back().t + 1);
-    series.data = std::move(trimmed);
+    if (series.data.empty() && series.missing.empty()) continue;
+    TimeSec newest = series.data.empty() ? series.missing.back().t
+                                         : series.data.back().t;
+    if (!series.missing.empty()) {
+      newest = std::max(newest, series.missing.back().t);
+    }
+    const TimeSec cutoff = newest - horizon;
+    dropped += series.data.EraseBefore(cutoff);
+    (void)series.missing.EraseBefore(cutoff);  // markers are not points
   }
   return dropped;
 }

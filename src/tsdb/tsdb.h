@@ -81,9 +81,20 @@ class Database {
     Series* series_ = nullptr;
   };
   SeriesHandle OpenSeries(std::string_view measurement, const TagSet& tags);
-  // Same timestamp contract as Write/WriteMissing: non-decreasing per series.
-  void Append(SeriesHandle handle, TimeSec t, double value);
-  void AppendMissing(SeriesHandle handle, TimeSec t);
+  // Timestamps are non-decreasing per series, as for Write/WriteMissing, but
+  // a streamed point older than the series' newest is refused (false, not
+  // stored) instead of thrown: streamed timestamps come off the wire and
+  // may arrive out of order within a day.
+  bool Append(SeriesHandle handle, TimeSec t, double value);
+  bool AppendMissing(SeriesHandle handle, TimeSec t);
+  // The series' points and gap markers (marker values are unused, 0), in
+  // time order — what a checkpoint of the raw store saves per handle.
+  const stats::TimeSeries& Points(SeriesHandle handle) const noexcept {
+    return handle.series_->data;
+  }
+  const stats::TimeSeries& Markers(SeriesHandle handle) const noexcept {
+    return handle.series_->missing;
+  }
 
   // Marks time t of the series as probed-but-unanswered: the collector was
   // alive and scheduled the measurement, but nothing came back. Gap markers
@@ -128,8 +139,10 @@ class Database {
                                      TimeSec t1, TimeSec bin_width,
                                      stats::BinAgg agg) const;
 
-  // Drops points older than `horizon` seconds before the newest point,
-  // per series, for one measurement. Returns points dropped.
+  // Drops points and gap markers older than `horizon` seconds before the
+  // series' newest point or marker, per series, for one measurement.
+  // Returns the data points dropped (markers are trimmed but not counted).
+  // Amortized O(points dropped): the kept points are never copied per call.
   std::size_t EnforceRetention(std::string_view measurement, TimeSec horizon);
 
   // Number of series stored for a measurement.

@@ -2,7 +2,9 @@
 // batch oracle: RollingAutocorr, StreamingClassifier and ShardEngine are run
 // on seeded streams and every classified day is compared, field by field,
 // with AnalyzeWindow over the same window (and, for the engine, with the
-// batch loop's cross-VP merge and quality fold).
+// batch loop's cross-VP merge and quality fold). The last test runs the
+// same generator through two WAL-on services, one checkpointing and one
+// not, and compares them after every restart.
 //
 // The day generator mixes the cases the incremental bookkeeping must get
 // right: NaN-sprinkled and all-missing days, outages long enough to starve
@@ -17,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -29,6 +32,7 @@
 #include "infer/streaming.h"
 #include "serve/engine.h"
 #include "serve/sample.h"
+#include "serve/service.h"
 #include "stats/calendar.h"
 #include "stats/rng.h"
 
@@ -570,6 +574,163 @@ TEST(EngineDifferential, MatchesBatchMergeForOneToSevenVpsPerLink) {
   EXPECT_GT(verdicts_checked, 7 * 100);
   EXPECT_GT(cov.recurring, 0);
   EXPECT_GT(cov.min_moved_on_eviction, 0);
+}
+
+// --------------------------------------------------------- checkpoints
+
+// Everything a client can observe of a service, compared field by field.
+// Both services are stopped first, so every published sample has reached
+// the raw store.
+void ExpectSameService(const serve::CongestionService& got,
+                       const serve::CongestionService& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.VerdictLogText(), want.VerdictLogText()) << where;
+  EXPECT_EQ(got.Stats(), want.Stats()) << where;
+  EXPECT_EQ(got.Watermark(), want.Watermark()) << where;
+  for (topo::LinkId link = 1; link <= 4; ++link) {
+    const auto g = got.QueryQuality(link);
+    const auto w = want.QueryQuality(link);
+    ASSERT_EQ(g.has_value(), w.has_value()) << where << " link " << link;
+    if (!g) continue;
+    EXPECT_EQ(g->far_coverage_frac, w->far_coverage_frac) << where;
+    EXPECT_EQ(g->near_coverage_frac, w->near_coverage_frac) << where;
+    EXPECT_EQ(g->longest_gap_intervals, w->longest_gap_intervals) << where;
+    EXPECT_EQ(g->days_observed, w->days_observed) << where;
+    EXPECT_EQ(g->total_days, w->total_days) << where;
+    EXPECT_EQ(g->vp_churn_events, w->vp_churn_events) << where;
+  }
+}
+
+// Links 1..3, link k measured by k VPs, fed day by day from DayGenerator
+// through DayFeed (NaN markers, worse duplicates, shuffled order). Now and
+// then a sample runs two or three days ahead: it closes the days before it
+// at once, is held as a far-future open day, and the rest of its day and
+// the skipped days arrive late.
+std::vector<serve::Sample> CheckpointStream(std::uint64_t seed, int days,
+                                            int* ahead) {
+  stats::Rng rng(seed);
+  std::vector<std::pair<topo::LinkId, DayGenerator>> pairs;
+  for (topo::LinkId link = 1; link <= 3; ++link) {
+    for (topo::VpId vp = 1; vp <= link; ++vp) {
+      pairs.emplace_back(link * 100 + vp,
+                         DayGenerator(seed + link * 10 + vp, 24));
+    }
+  }
+  std::vector<serve::Sample> stream;
+  for (std::int64_t day = -2; day < days; ++day) {
+    for (auto& [key, gen] : pairs) {
+      const Day rows = gen.Next();
+      if (rng.Bernoulli(0.05)) continue;  // an invisible pair-day
+      for (const Feed& f : DayFeed(day, rows, rng)) {
+        const bool missing = std::isnan(f.value);
+        const serve::SampleKind kind =
+            f.far_side ? (missing ? serve::SampleKind::kFarMissing
+                                  : serve::SampleKind::kFarRtt)
+                       : (missing ? serve::SampleKind::kNearMissing
+                                  : serve::SampleKind::kNearRtt);
+        stream.push_back({day * stats::kSecPerDay + f.interval * 3600 + 60,
+                          static_cast<topo::LinkId>(key / 100),
+                          static_cast<topo::VpId>(key % 100), kind,
+                          missing ? 0.0f : f.value});
+      }
+    }
+    if (rng.Bernoulli(0.12)) {
+      serve::Sample far = stream.back();
+      far.t += (2 + static_cast<std::int64_t>(rng.UniformInt(2))) *
+               stats::kSecPerDay;
+      far.kind = serve::SampleKind::kFarRtt;
+      far.value = 9.0f;
+      stream.push_back(far);
+      ++*ahead;
+    }
+  }
+  return stream;
+}
+
+// One stream through two WAL-on services: A's segments are small enough to
+// checkpoint every few days, B's are the default size, so B never does and
+// every restart replays its whole log. Each phase restarts both at the next
+// shard count (1, 2, 4, 1, ...), so a checkpoint written at one shard count
+// always restores at another; the two must agree after the restart and
+// again after the phase's share of the stream. Odd phases end with a clean
+// stop, even ones with a crash (no clean marker).
+TEST(CheckpointDifferential, RestartsMatchAFullReplayAtAnyShardCount) {
+  namespace fs = std::filesystem;
+  int ahead = 0;
+  const std::vector<serve::Sample> stream = CheckpointStream(77, 70, &ahead);
+  const std::string root = ::testing::TempDir() + "/manic_ckpt_diff";
+  fs::remove_all(root);
+  const auto config = [&](const char* name, int shards, bool small) {
+    serve::ServiceConfig c;
+    c.engine.autocorr = SmallConfig();
+    c.shards = shards;
+    c.wal_dir = root + "/" + name;
+    c.wal_fsync = serve::WalFsync::kNone;  // the crash model is a kill
+    if (small) c.wal_segment_bytes = 24 << 10;
+    return c;
+  };
+  constexpr int kPhases = 7;
+  const int shard_counts[] = {1, 2, 4};
+  std::size_t offset = 0;
+  std::uint64_t written = 0, restored = 0;
+  stats::Rng rng(5);
+  for (int phase = 0; phase < kPhases; ++phase) {
+    const int shards = shard_counts[phase % 3];
+    const std::string where = "phase " + std::to_string(phase);
+    serve::CongestionService a(config("a", shards, true));
+    serve::CongestionService b(config("b", shards, false));
+    const serve::WalRecoverStats ra = a.RecoverFromWal();
+    const serve::WalRecoverStats rb = b.RecoverFromWal();
+    ASSERT_TRUE(ra.ok) << ra.error;
+    ASSERT_TRUE(rb.ok) << rb.error;
+    EXPECT_EQ(rb.checkpoint_bytes, 0u);
+    if (ra.checkpoint_bytes > 0) {
+      ++restored;
+      EXPECT_LT(ra.samples, rb.samples) << where;
+    }
+    a.Stop();
+    b.Stop();
+    ExpectSameService(a, b, where + " after restart");
+    if (HasFailure()) return;
+    a.Start();
+    b.Start();
+    const std::size_t end = phase + 1 == kPhases
+                                ? stream.size()
+                                : stream.size() * (phase + 1) / kPhases;
+    while (offset < end) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + rng.UniformInt(150), end - offset);
+      const std::span<const serve::Sample> batch(stream.data() + offset, n);
+      const serve::SubmitSummary sa = a.SubmitBatch(batch);
+      const serve::SubmitSummary sb = b.SubmitBatch(batch);
+      ASSERT_EQ(sa.accepted, sb.accepted);
+      ASSERT_EQ(sa.late, sb.late);
+      offset += n;
+    }
+    if (phase + 1 == kPhases) {
+      EXPECT_EQ(a.FinishStream(), b.FinishStream());
+    }
+    written += a.checkpoint_stats().written;
+    EXPECT_EQ(b.checkpoint_stats().written, 0u);
+    a.Stop();
+    b.Stop();
+    ExpectSameService(a, b, where + " after the stream");
+    if (HasFailure()) return;
+    if (phase % 2 == 1) {
+      EXPECT_EQ(a.CloseWalClean(), serve::WalStatus::kOk);
+      EXPECT_EQ(b.CloseWalClean(), serve::WalStatus::kOk);
+    }
+  }
+  // Non-vacuous: A checkpointed and restored from checkpoints, the stream
+  // ran ahead and produced late samples.
+  EXPECT_GT(written, 10u);
+  EXPECT_GE(restored, static_cast<std::uint64_t>(kPhases - 2));
+  EXPECT_GT(ahead, 3);
+  serve::CongestionService last(config("a", 1, true));
+  ASSERT_TRUE(last.RecoverFromWal().ok);
+  last.Stop();
+  EXPECT_GT(last.Stats().samples_late, 0u);
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -8,15 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/io_fault.h"
+#include "serve/checkpoint.h"
 #include "serve/codec.h"
 #include "serve/replay.h"
 #include "serve/sample.h"
@@ -952,6 +957,481 @@ TEST(ReplayTornTail, TruncatedFinalFrameIsSkippedNotFatal) {
   EXPECT_EQ(stats.truncated_tail_bytes, 9u);
   service.Stop();
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------ checkpoints
+
+// Every file under dir with its size.
+std::map<std::string, std::uintmax_t> DirFiles(const std::string& dir) {
+  std::map<std::string, std::uintmax_t> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = entry.file_size();
+  }
+  return files;
+}
+
+std::uint64_t DirBytes(const std::string& dir) {
+  std::uint64_t bytes = 0;
+  for (const auto& [name, size] : DirFiles(dir)) bytes += size;
+  return bytes;
+}
+
+// A fixed-volume stream: `vps` VPs on link 1, every pair-day 24 far and 24
+// near samples (a probed-but-unanswered slot is a marker pair instead), one
+// batch per pair-day.
+void PairDayBatch(std::int64_t day, topo::VpId vp, std::vector<Sample>* out) {
+  out->clear();
+  for (int slot = 0; slot < 24; ++slot) {
+    const std::uint64_t h =
+        static_cast<std::uint64_t>(day * 1000 + vp * 37 + slot) * 2654435761u;
+    if (h % 20 == 0) {
+      out->push_back(MakeSample(day, slot, 1, vp, SampleKind::kFarMissing));
+      out->push_back(MakeSample(day, slot, 1, vp, SampleKind::kNearMissing));
+      continue;
+    }
+    Sample far = MakeSample(day, slot, 1, vp, SampleKind::kFarRtt);
+    far.value += static_cast<float>(h % 7);
+    out->push_back(far);
+    out->push_back(MakeSample(day, slot, 1, vp, SampleKind::kNearRtt));
+  }
+}
+
+// Five clean restarts of one log, checkpoints included, leave the file set
+// the first one left: a clean stop's fresh, record-less segment is removed
+// by the next recovery instead of piling up.
+TEST(WalRecovery, CleanRestartsDoNotAccumulateSegments) {
+  WalDir dir("clean_restarts");
+  ServiceConfig config = WalServiceConfig(dir.path, 2);
+  config.wal_segment_bytes = 4096;
+  std::vector<Sample> batch;
+  {
+    CongestionService service(config);
+    ASSERT_TRUE(service.RecoverFromWal().ok);
+    for (std::int64_t day = 0; day < 12; ++day) {
+      for (topo::VpId vp = 1; vp <= 3; ++vp) {
+        PairDayBatch(day, vp, &batch);
+        ASSERT_EQ(service.SubmitBatch(batch).accepted, batch.size());
+      }
+    }
+    EXPECT_GT(service.checkpoint_stats().written, 0u);
+    ASSERT_EQ(service.CloseWalClean(), WalStatus::kOk);
+  }
+  std::map<std::string, std::uintmax_t> first;
+  std::string log;
+  for (int cycle = 0; cycle <= 5; ++cycle) {
+    CongestionService service(config);
+    const WalRecoverStats stats = service.RecoverFromWal();
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_TRUE(stats.clean_shutdown);
+    EXPECT_GT(stats.checkpoint_bytes, 0u);
+    ASSERT_EQ(service.CloseWalClean(), WalStatus::kOk);
+    if (cycle == 0) {
+      first = DirFiles(dir.path);
+      log = service.VerdictLogText();
+      continue;
+    }
+    EXPECT_EQ(DirFiles(dir.path), first) << "cycle " << cycle;
+    EXPECT_EQ(service.VerdictLogText(), log) << "cycle " << cycle;
+  }
+  EXPECT_FALSE(log.empty());
+}
+
+// The manifest header's encoding, byte for byte. Its in-memory layout is
+// the same bytes on a little-endian host (static_asserts in checkpoint.h).
+TEST(CheckpointFormat, HeaderGoldenBytes) {
+  CheckpointHeader header;
+  header.first_live_segment = 7;
+  header.parts_tag = 6;
+  header.parts = 2;
+  header.day = -3;
+  header.window_days = 50;
+  header.intervals_per_day = 96;
+  runtime::BlobWriter out;
+  EncodeCheckpointHeader(header, out);
+  const std::string golden(
+      "MANICCK1"                          // magic
+      "\x01\x00\x00\x00"                  // version
+      "\x07\x00\x00\x00"                  // first_live_segment
+      "\x06\x00\x00\x00"                  // parts_tag
+      "\x02\x00\x00\x00"                  // parts
+      "\xfd\xff\xff\xff\xff\xff\xff\xff"  // day
+      "\x32\x00\x00\x00"                  // window_days
+      "\x60\x00\x00\x00",                 // intervals_per_day
+      CheckpointHeader::kEncodedSize);
+  EXPECT_EQ(out.str(), golden);
+  if constexpr (std::endian::native == std::endian::little) {
+    EXPECT_EQ(std::memcmp(&header, golden.data(), golden.size()), 0);
+  }
+  CheckpointHeader back;
+  ASSERT_TRUE(DecodeCheckpointHeader(golden, &back));
+  EXPECT_EQ(back.first_live_segment, 7u);
+  EXPECT_EQ(back.parts_tag, 6u);
+  EXPECT_EQ(back.parts, 2u);
+  EXPECT_EQ(back.day, -3);
+  EXPECT_EQ(back.window_days, 50u);
+  EXPECT_EQ(back.intervals_per_day, 96u);
+  std::string foreign = golden;
+  foreign[0] = 'X';
+  EXPECT_FALSE(DecodeCheckpointHeader(foreign, &back));
+  std::string future = golden;
+  future[8] = '\x02';  // an unknown version
+  EXPECT_FALSE(DecodeCheckpointHeader(future, &back));
+  EXPECT_FALSE(DecodeCheckpointHeader(golden.substr(1), &back));
+}
+
+// Stray files of a checkpoint that never committed are ignored and removed;
+// a committed checkpoint that is damaged fails recovery and removes nothing
+// (the segments it covers are gone, so guessing would lose data).
+TEST(ServiceCheckpoint, UncommittedIsIgnoredAndDamagedFailsRecovery) {
+  WalDir dir("ckpt_damage");
+  ServiceConfig config = WalServiceConfig(dir.path, 2);
+  config.wal_segment_bytes = 4096;
+  std::vector<Sample> batch;
+  std::string want;
+  {
+    CongestionService service(config);
+    ASSERT_TRUE(service.RecoverFromWal().ok);
+    for (std::int64_t day = 0; day < 12; ++day) {
+      for (topo::VpId vp = 1; vp <= 3; ++vp) {
+        PairDayBatch(day, vp, &batch);
+        ASSERT_EQ(service.SubmitBatch(batch).accepted, batch.size());
+      }
+    }
+    ASSERT_GT(service.checkpoint_stats().written, 0u);
+    EXPECT_GT(service.checkpoint_stats().retired_segments, 0u);
+    want = service.VerdictLogText();
+    service.Stop();  // a crash: no clean marker
+  }
+  const std::uint32_t committed = NewestCheckpoint(dir.path);
+  ASSERT_GT(committed, 0u);
+  for (const char* stray :
+       {"ckpt-999999.tmp", "ckpt-999999.part-0", "ckpt-999998.part-1"}) {
+    std::ofstream(dir.path + "/" + stray) << "torn";
+  }
+  {
+    CongestionService service(config);
+    const WalRecoverStats stats = service.RecoverFromWal();
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_GT(stats.checkpoint_bytes, 0u);
+    EXPECT_EQ(service.VerdictLogText(), want);
+    for (const auto& [name, size] : DirFiles(dir.path)) {
+      EXPECT_EQ(name.find("99999"), std::string::npos) << name;
+    }
+    service.Stop();
+  }
+  // Flip one byte of the committed manifest's magic.
+  const std::string manifest = CheckpointPath(dir.path, committed);
+  {
+    std::fstream f(manifest, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(0);
+    f.put('X');
+  }
+  const std::map<std::string, std::uintmax_t> before = DirFiles(dir.path);
+  CongestionService service(config);
+  const WalRecoverStats stats = service.RecoverFromWal();
+  EXPECT_FALSE(stats.ok);
+  EXPECT_NE(stats.error.find("checkpoint"), std::string::npos) << stats.error;
+  EXPECT_EQ(DirFiles(dir.path), before);
+}
+
+// Restart work stays flat with uptime, checked as counts: after 720
+// streamed days, what a restart replays, the log plus checkpoint bytes on
+// disk, and the raw points held are within 10% of their 60-day values.
+// Every day is the same volume, so once the first checkpoint rolls the log
+// the work between checkpoints repeats with a fixed period; the segment
+// size makes that period 11 days, which divides 720 - 60, so both restarts
+// land at the same point of it.
+TEST(ServiceCheckpoint, RestartWorkIsFlatFrom60To720Days) {
+  constexpr topo::VpId kVps = 16;
+  // The WAL bytes of one steady day: its first batch split by the sample
+  // that closes the day before (one record, then the close marker, then
+  // the batch's other 47 samples), and the other pairs' batches.
+  std::vector<Sample> batch;
+  PairDayBatch(1, 1, &batch);
+  std::string frame;
+  const auto frame_bytes = [&](std::size_t n) {
+    frame.clear();
+    EncodeSubmitBatchTo(std::span<const Sample>(batch.data(), n), &frame);
+    return frame.size();
+  };
+  frame.clear();
+  EncodeFlushAckTo(1, &frame);
+  const std::size_t marker = frame.size();
+  const std::size_t day_bytes = frame_bytes(1) + marker +
+                                frame_bytes(batch.size() - 1) +
+                                (kVps - 1) * frame_bytes(batch.size());
+  struct Restart {
+    std::uint64_t replayed = 0;
+    std::uint64_t disk = 0;
+    std::uint64_t raw_points = 0;
+    std::uint64_t checkpoints = 0;
+  };
+  const auto run = [&](const char* tag, std::int64_t days) {
+    WalDir dir(tag);
+    ServiceConfig config = WalServiceConfig(dir.path);
+    // Rolled at a close, a segment fills in the middle of the 11th day
+    // after; the close that ends it checkpoints and rolls again.
+    config.wal_segment_bytes = day_bytes * 21 / 2;
+    Restart r;
+    {
+      CongestionService service(config);
+      EXPECT_TRUE(service.RecoverFromWal().ok);
+      for (std::int64_t day = 0; day < days; ++day) {
+        for (topo::VpId vp = 1; vp <= kVps; ++vp) {
+          PairDayBatch(day, vp, &batch);
+          EXPECT_EQ(service.SubmitBatch(batch).accepted, batch.size());
+        }
+      }
+      r.checkpoints = service.checkpoint_stats().written;
+      service.Stop();  // a crash: the restart replays the tail
+    }
+    r.disk = DirBytes(dir.path);
+    CongestionService restarted(config);
+    const WalRecoverStats stats = restarted.RecoverFromWal();
+    EXPECT_TRUE(stats.ok) << stats.error;
+    restarted.Stop();
+    r.replayed = stats.samples;
+    r.raw_points = restarted.Stats().raw_points;
+    return r;
+  };
+  const Restart short_run = run("flat60", 60);
+  const Restart long_run = run("flat720", 720);
+  ASSERT_GT(short_run.checkpoints, 2u);
+  EXPECT_GT(long_run.checkpoints, 60u);
+  const auto within_10pct = [](std::uint64_t got, std::uint64_t base) {
+    return static_cast<double>(got) <= 1.1 * static_cast<double>(base) &&
+           static_cast<double>(got) >= 0.9 * static_cast<double>(base);
+  };
+  EXPECT_GT(short_run.replayed, 0u);
+  EXPECT_TRUE(within_10pct(long_run.replayed, short_run.replayed))
+      << long_run.replayed << " vs " << short_run.replayed;
+  EXPECT_TRUE(within_10pct(long_run.disk, short_run.disk))
+      << long_run.disk << " vs " << short_run.disk;
+  EXPECT_TRUE(within_10pct(long_run.raw_points, short_run.raw_points))
+      << long_run.raw_points << " vs " << short_run.raw_points;
+}
+
+// Feeds days [from, to) of the PairDayBatch stream, VPs 1..vps.
+void FeedDays(CongestionService& service, std::int64_t from, std::int64_t to,
+              topo::VpId vps) {
+  std::vector<Sample> batch;
+  for (std::int64_t day = from; day < to; ++day) {
+    for (topo::VpId vp = 1; vp <= vps; ++vp) {
+      PairDayBatch(day, vp, &batch);
+      ASSERT_EQ(service.SubmitBatch(batch).accepted, batch.size());
+    }
+  }
+}
+
+// What a client can observe of a service, taken after Stop so every
+// published sample has reached the raw store.
+struct Observed {
+  std::string log;
+  ServiceStats stats;
+  WatermarkInfo watermark;
+  friend bool operator==(const Observed&, const Observed&) = default;
+};
+
+Observed Observe(CongestionService& service) {
+  service.Stop();
+  return {service.VerdictLogText(), service.Stats(), service.Watermark()};
+}
+
+// A full replay of days [0, days) of the stream: a log at the default
+// segment size never checkpoints, so its restart replays every record.
+Observed FullReplay(const char* tag, std::int64_t days, topo::VpId vps,
+                    int shards) {
+  WalDir dir(tag);
+  const ServiceConfig config = WalServiceConfig(dir.path, shards);
+  {
+    CongestionService service(config);
+    EXPECT_TRUE(service.RecoverFromWal().ok);
+    FeedDays(service, 0, days, vps);
+    EXPECT_EQ(service.checkpoint_stats().written, 0u);
+    service.Stop();  // a crash
+  }
+  CongestionService restarted(config);
+  const WalRecoverStats stats = restarted.RecoverFromWal();
+  EXPECT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.checkpoint_bytes, 0u);
+  return Observe(restarted);
+}
+
+// A wal_dir spelled with a trailing slash names its files "dir//ckpt-N"
+// while the directory listing says "dir/ckpt-N": retirement must still
+// keep the checkpoint it just committed, and each restart the one it
+// loaded, or the next restart silently replays only the tail.
+TEST(ServiceCheckpoint, TrailingSlashWalDirKeepsItsCheckpoint) {
+  constexpr std::int64_t kDays = 14;
+  const Observed want = FullReplay("slash_ref", kDays, 3, 2);
+  WalDir dir("slash");
+  ServiceConfig config = WalServiceConfig(dir.path + "/", 2);
+  config.wal_segment_bytes = 4096;
+  {
+    CongestionService service(config);
+    ASSERT_TRUE(service.RecoverFromWal().ok);
+    FeedDays(service, 0, kDays, 3);
+    ASSERT_GT(service.checkpoint_stats().written, 0u);
+    EXPECT_GT(service.checkpoint_stats().retired_segments, 0u);
+    ASSERT_GT(NewestCheckpoint(dir.path), 0u);
+    service.Stop();  // a crash
+  }
+  for (int restart = 0; restart < 2; ++restart) {
+    CongestionService service(config);
+    const WalRecoverStats stats = service.RecoverFromWal();
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_GT(stats.checkpoint_bytes, 0u) << "restart " << restart;
+    EXPECT_GT(NewestCheckpoint(dir.path), 0u) << "restart " << restart;
+    EXPECT_TRUE(Observe(service) == want) << "restart " << restart;
+  }
+}
+
+// Faults checkpoint files alone — a disk with room for the log's small
+// appends but not for a checkpoint. Each checkpoint file's write ops from
+// `enospc_from` on fail with ENOSPC, and its sync op `fail_sync` fails.
+class CheckpointFaults final : public runtime::IoFaultHook {
+ public:
+  CheckpointFaults(std::uint64_t enospc_from, std::int64_t fail_sync)
+      : enospc_from_(enospc_from), fail_sync_(fail_sync) {}
+  WriteFault CheckpointWriteAt(std::uint64_t op,
+                               std::size_t /*len*/) const override {
+    WriteFault fault;
+    if (op >= enospc_from_) fault.kind = WriteFault::Kind::kEnospc;
+    return fault;
+  }
+  bool CheckpointFsyncOkAt(std::uint64_t op) const override {
+    return static_cast<std::int64_t>(op) != fail_sync_;
+  }
+
+ private:
+  std::uint64_t enospc_from_ = 0;
+  std::int64_t fail_sync_ = -1;
+};
+
+std::size_t CountFiles(const std::string& dir, const std::string& prefix) {
+  std::size_t n = 0;
+  for (const auto& [name, size] : DirFiles(dir)) {
+    if (name.rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
+// A checkpoint that fails before it is durable is dropped whole: the log
+// keeps every segment, no checkpoint file is left for recovery to trust,
+// ingest goes on acknowledging, and the next attempt waits for the next
+// segment rotation instead of rewriting the checkpoint at every close.
+// One shard holds the three pairs, so its part takes write ops 0-5 and a
+// manifest's seventh write is its first failure in the second case; the
+// third fails only a manifest's directory sync, after its rename.
+TEST(ServiceCheckpoint, FailedCheckpointIsDroppedUntilTheNextRotation) {
+  constexpr std::int64_t kDays = 24;
+  const Observed want = FullReplay("ckpt_fail_ref", kDays, 3, 1);
+  const struct {
+    const char* what = nullptr;
+    std::uint64_t enospc_from = 0;
+    std::int64_t fail_sync = -1;
+  } cases[] = {
+      {"part write", 0, -1},
+      {"manifest write", 6, -1},
+      {"manifest directory sync", ~std::uint64_t{0}, 1},
+  };
+  for (const auto& c : cases) {
+    WalDir dir("ckpt_fail");
+    CheckpointFaults faults(c.enospc_from, c.fail_sync);
+    ServiceConfig config = WalServiceConfig(dir.path, 1);
+    config.wal_fsync = WalFsync::kDayClose;  // checkpoint syncs run
+    config.wal_segment_bytes = 8192;
+    config.wal_fault_hook = &faults;
+    {
+      CongestionService service(config);
+      ASSERT_TRUE(service.RecoverFromWal().ok);
+      FeedDays(service, 0, kDays, 3);
+      EXPECT_FALSE(service.degraded()) << c.what;
+      const CheckpointStats& ckpt = service.checkpoint_stats();
+      EXPECT_EQ(ckpt.written, 0u) << c.what;
+      EXPECT_EQ(ckpt.retired_segments, 0u) << c.what;
+      // One attempt per rotation at most; retrying at every close would
+      // make about 20.
+      const std::size_t segments = CountFiles(dir.path, "wal-");
+      EXPECT_GE(ckpt.abandoned, 3u) << c.what;
+      EXPECT_LT(ckpt.abandoned, segments) << c.what;
+      EXPECT_EQ(CountFiles(dir.path, "ckpt-"), 0u) << c.what;
+      service.Stop();  // a crash
+    }
+    CongestionService restarted(config);
+    const WalRecoverStats stats = restarted.RecoverFromWal();
+    ASSERT_TRUE(stats.ok) << c.what << ": " << stats.error;
+    EXPECT_EQ(stats.checkpoint_bytes, 0u) << c.what;
+    EXPECT_TRUE(Observe(restarted) == want) << c.what;
+  }
+}
+
+// Short writes and EINTR reach checkpoint writes through the hook — the
+// shard workers' part files and the producer's manifest alike — and syncs
+// through its checkpoint sync seam; the write loop absorbs them, so
+// checkpoints still commit and restarts match a full replay.
+class ChoppyCheckpoints final : public runtime::IoFaultHook {
+ public:
+  WriteFault CheckpointWriteAt(std::uint64_t op,
+                               std::size_t len) const override {
+    writes.fetch_add(1, std::memory_order_relaxed);
+    if (std::this_thread::get_id() != producer) {
+      shard_writes.fetch_add(1, std::memory_order_relaxed);
+    }
+    WriteFault fault;
+    if (op % 3 == 0) {
+      fault.kind = WriteFault::Kind::kEintr;
+    } else {
+      fault.kind = WriteFault::Kind::kShort;
+      fault.short_len = len / 2 + 1;
+    }
+    return fault;
+  }
+  bool CheckpointFsyncOkAt(std::uint64_t /*op*/) const override {
+    syncs.fetch_add(1, std::memory_order_relaxed);
+    if (std::this_thread::get_id() != producer) {
+      shard_syncs.fetch_add(1, std::memory_order_relaxed);
+    }
+    return true;
+  }
+  const std::thread::id producer = std::this_thread::get_id();
+  // Read after the service stops (its threads joined), so relaxed
+  // counters suffice.
+  alignas(64) mutable std::atomic<std::uint64_t> writes{0};
+  alignas(64) mutable std::atomic<std::uint64_t> shard_writes{0};
+  alignas(64) mutable std::atomic<std::uint64_t> syncs{0};
+  alignas(64) mutable std::atomic<std::uint64_t> shard_syncs{0};
+};
+
+TEST(ServiceCheckpoint, ShortWritesAndEintrStillCommit) {
+  constexpr std::int64_t kDays = 14;
+  const Observed want = FullReplay("choppy_ref", kDays, 3, 2);
+  WalDir dir("choppy");
+  ChoppyCheckpoints faults;
+  ServiceConfig config = WalServiceConfig(dir.path, 2);
+  config.wal_fsync = WalFsync::kDayClose;
+  config.wal_segment_bytes = 4096;
+  config.wal_fault_hook = &faults;
+  {
+    CongestionService service(config);
+    ASSERT_TRUE(service.RecoverFromWal().ok);
+    FeedDays(service, 0, kDays, 3);
+    EXPECT_GT(service.checkpoint_stats().written, 0u);
+    EXPECT_EQ(service.checkpoint_stats().abandoned, 0u);
+    service.Stop();  // a crash
+  }
+  const auto count = [](const std::atomic<std::uint64_t>& n) {
+    return n.load(std::memory_order_relaxed);
+  };
+  EXPECT_GT(count(faults.shard_writes), 0u);
+  EXPECT_GT(count(faults.writes), count(faults.shard_writes));
+  EXPECT_GT(count(faults.shard_syncs), 0u);
+  EXPECT_GT(count(faults.syncs), count(faults.shard_syncs));
+  CongestionService restarted(config);
+  const WalRecoverStats stats = restarted.RecoverFromWal();
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_GT(stats.checkpoint_bytes, 0u);
+  EXPECT_TRUE(Observe(restarted) == want);
 }
 
 }  // namespace

@@ -223,5 +223,87 @@ TEST(Database, MissingMarkersAreNotExported) {
   EXPECT_EQ(csv.find("300"), std::string::npos);
 }
 
+// ---- retention -----------------------------------------------------------
+
+// One series of points every 300 s, every fifth slot a gap marker instead.
+Database::SeriesHandle FillSeries(Database& db, TimeSec from, TimeSec to) {
+  const Database::SeriesHandle h =
+      db.OpenSeries("m", TagSet{{"vp", "a"}, {"side", "far"}});
+  for (TimeSec t = from; t < to; t += 300) {
+    if ((t / 300) % 5 == 0) {
+      EXPECT_TRUE(db.AppendMissing(h, t));
+    } else {
+      EXPECT_TRUE(db.Append(h, t, static_cast<double>(t % 977)));
+    }
+  }
+  return h;
+}
+
+TEST(Database, RetentionDropsGapMarkersToo) {
+  Database db;
+  const Database::SeriesHandle h = FillSeries(db, 0, 30000);
+  const TimeSec newest = 29700;
+  EXPECT_GT(db.EnforceRetention("m", 3000), 0u);
+  ASSERT_FALSE(db.Markers(h).empty());
+  EXPECT_GE(db.Markers(h).front().t, newest - 3000);
+  EXPECT_GE(db.Points(h).front().t, newest - 3000);
+  // Nothing older than the horizon is left to count.
+  const auto cov = db.Coverage("m", TagSet{}, 0, newest + 1);
+  EXPECT_EQ(cov.missing, static_cast<std::int64_t>(db.Markers(h).size()));
+  EXPECT_EQ(cov.present, static_cast<std::int64_t>(db.Points(h).size()));
+}
+
+TEST(Database, RepeatedTrimsEqualOneTrim) {
+  // Trimming at every "close" while the series grows leaves exactly what
+  // one trim at the end does, point for point and marker for marker.
+  Database every, once;
+  const Database::SeriesHandle a =
+      every.OpenSeries("m", TagSet{{"vp", "a"}, {"side", "far"}});
+  std::size_t dropped_every = 0;
+  for (TimeSec day = 0; day < 40; ++day) {
+    FillSeries(every, day * 9000, (day + 1) * 9000);
+    dropped_every += every.EnforceRetention("m", 5 * 9000);
+  }
+  const Database::SeriesHandle b = FillSeries(once, 0, 40 * 9000);
+  const std::size_t dropped_once = once.EnforceRetention("m", 5 * 9000);
+  EXPECT_EQ(dropped_every, dropped_once);
+  ASSERT_EQ(every.Points(a).size(), once.Points(b).size());
+  for (std::size_t i = 0; i < once.Points(b).size(); ++i) {
+    EXPECT_EQ(every.Points(a)[i], once.Points(b)[i]) << i;
+  }
+  ASSERT_EQ(every.Markers(a).size(), once.Markers(b).size());
+  for (std::size_t i = 0; i < once.Markers(b).size(); ++i) {
+    EXPECT_EQ(every.Markers(a)[i], once.Markers(b)[i]) << i;
+  }
+  // Appends still land after trims.
+  EXPECT_TRUE(every.Append(a, 40 * 9000, 1.0));
+  EXPECT_EQ(every.Points(a).back().t, 40 * 9000);
+}
+
+TEST(Database, CoverageIsUnchangedInsideTheHorizon) {
+  Database db;
+  FillSeries(db, 0, 50000);
+  const TimeSec newest = 49800;
+  const TimeSec horizon = 7200;
+  const auto before = db.Coverage("m", TagSet{}, newest - horizon, newest + 1);
+  EXPECT_GT(db.EnforceRetention("m", horizon), 0u);
+  const auto after = db.Coverage("m", TagSet{}, newest - horizon, newest + 1);
+  EXPECT_EQ(after.present, before.present);
+  EXPECT_EQ(after.missing, before.missing);
+  EXPECT_EQ(after.longest_gap_s, before.longest_gap_s);
+}
+
+TEST(Database, StreamedAppendRefusesAnOlderPoint) {
+  Database db;
+  const Database::SeriesHandle h = db.OpenSeries("m", TagSet{{"vp", "a"}});
+  EXPECT_TRUE(db.Append(h, 600, 1.0));
+  EXPECT_FALSE(db.Append(h, 300, 2.0));  // out of order: not stored
+  EXPECT_TRUE(db.Append(h, 600, 3.0));
+  EXPECT_TRUE(db.AppendMissing(h, 900));
+  EXPECT_FALSE(db.AppendMissing(h, 0));
+  EXPECT_EQ(db.Points(h).size(), 2u);
+  EXPECT_EQ(db.Markers(h).size(), 1u);
+}
+
 }  // namespace
 }  // namespace manic::tsdb

@@ -6,9 +6,16 @@
 //            at a crash-torture daemon that it kills at N seeded points —
 //            half by SIGKILL between acked batches, half via the WAL's
 //            IoFaultHook crash records (the process dies mid-append with a
-//            torn record on disk). After every kill the daemon restarts,
-//            replays its WAL, and the client resumes at the reported
-//            watermark. The final verdict logs must be byte-identical.
+//            torn record on disk). With --segment-bytes small enough that
+//            the daemon checkpoints and retires segments several times per
+//            run, half the kills instead die inside a checkpoint, through
+//            the same hook: with the manifest half written, right after its
+//            commit, or after the WAL roll but before the covered segments
+//            are deleted. After every kill the daemon restarts, recovers
+//            (checkpoint + WAL tail), and the client resumes at the
+//            reported watermark, which must cover every sample acked
+//            before the kill. The final verdict logs must be
+//            byte-identical.
 //
 //   --daemon one incarnation of the service: recover from the WAL, publish
 //            the ephemeral port to a file, serve until SIGTERM (graceful
@@ -59,6 +66,9 @@ struct Options {
   std::uint64_t seed = 1;
   std::int64_t crash_record = -1;
   std::int64_t crash_bytes = 0;
+  std::size_t segment_bytes = 0;  // 0 = the service default
+  std::int64_t crash_checkpoint = -1;
+  int crash_step = 0;
   bool verbose = false;
 };
 
@@ -115,11 +125,14 @@ void OnSigterm(int /*sig*/) {
 
 int RunDaemon(const Options& opts) {
   std::optional<runtime::ScriptedIoFaults> faults;
-  if (opts.crash_record >= 0) {
+  if (opts.crash_record >= 0 || opts.crash_checkpoint >= 0) {
     runtime::ScriptedIoFaults::Config fault_config;
     fault_config.seed = opts.seed;
     fault_config.crash_at_record = opts.crash_record;
     fault_config.crash_bytes = opts.crash_bytes;
+    fault_config.crash_at_checkpoint = opts.crash_checkpoint;
+    fault_config.crash_checkpoint_step =
+        static_cast<runtime::IoFaultHook::CheckpointStep>(opts.crash_step);
     faults.emplace(fault_config);
   }
 
@@ -128,6 +141,7 @@ int RunDaemon(const Options& opts) {
   config.engine.autocorr = SmallConfig();
   config.store_raw = false;
   config.wal_dir = opts.wal_dir;
+  if (opts.segment_bytes > 0) config.wal_segment_bytes = opts.segment_bytes;
   config.wal_fault_hook = faults ? &*faults : nullptr;
   CongestionService service(config);
 
@@ -177,12 +191,22 @@ int RunDaemon(const Options& opts) {
 // One planned kill of the daemon mid-stream.
 struct KillPlan {
   bool sigkill = false;          // true: SIGKILL between acked batches
+  bool checkpoint = false;       // true: die inside the first checkpoint
   int quota_batches = 0;         // sigkill after this many acks
+  int checkpoint_step = 0;       // an IoFaultHook::CheckpointStep
   std::int64_t crash_record = 0;  // iofault: die inside this WAL record
   std::int64_t crash_bytes = 0;   // ...after emitting this torn prefix
 };
 
-std::vector<KillPlan> MakeKillPlan(std::uint64_t seed, int kills) {
+const char* KillKind(const KillPlan& kill) {
+  if (kill.checkpoint) return "checkpoint";
+  return kill.sigkill ? "sigkill" : "torn append";
+}
+
+// With `checkpoints`, half the kills (seeded) die inside a checkpoint
+// instead; without, the plan is the original two-kind one.
+std::vector<KillPlan> MakeKillPlan(std::uint64_t seed, int kills,
+                                   bool checkpoints) {
   const runtime::SeedTree tree = runtime::SeedTree(seed).Child("kill-plan");
   std::vector<KillPlan> plan;
   plan.reserve(static_cast<std::size_t>(kills));
@@ -195,6 +219,11 @@ std::vector<KillPlan> MakeKillPlan(std::uint64_t seed, int kills) {
     // 0..63 torn bytes: covers dying inside the 5-byte record header as
     // well as inside the payload.
     kill.crash_bytes = static_cast<std::int64_t>(tree.Leaf(k, 3) % 64);
+    if (checkpoints && tree.Leaf(k, 4) % 2 == 0) {
+      kill.checkpoint = true;
+      kill.sigkill = false;
+      kill.checkpoint_step = static_cast<int>(tree.Leaf(k, 5) % 3);
+    }
     plan.push_back(kill);
   }
   return plan;
@@ -222,7 +251,16 @@ pid_t SpawnDaemon(const Options& opts, const KillPlan* kill,
       "--verdict-log", verdict_log,
       "--shards",     std::to_string(opts.shards),
       "--seed",       std::to_string(opts.seed)};
-  if (kill != nullptr && !kill->sigkill) {
+  if (opts.segment_bytes > 0) {
+    args.push_back("--segment-bytes");
+    args.push_back(std::to_string(opts.segment_bytes));
+  }
+  if (kill != nullptr && kill->checkpoint) {
+    args.push_back("--crash-checkpoint");
+    args.push_back("0");
+    args.push_back("--crash-step");
+    args.push_back(std::to_string(kill->checkpoint_step));
+  } else if (kill != nullptr && !kill->sigkill) {
     args.push_back("--crash-record");
     args.push_back(std::to_string(kill->crash_record));
     args.push_back("--crash-bytes");
@@ -280,6 +318,19 @@ bool StreamBatches(RetryingClient* client, const std::vector<Sample>& stream,
   return true;
 }
 
+// An ack is a durability receipt: a restarted daemon whose watermark is
+// below what the previous incarnations acknowledged has lost acked samples,
+// even if the harness could resubmit them.
+bool WatermarkCoversAcks(std::uint64_t watermark, std::size_t acked,
+                         int incarnation) {
+  if (watermark >= acked) return true;
+  std::fprintf(stderr,
+               "crashloop: FAIL — incarnation %d recovered watermark %llu "
+               "below the %zu samples already acked\n",
+               incarnation, static_cast<unsigned long long>(watermark), acked);
+  return false;
+}
+
 std::optional<std::string> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
@@ -298,7 +349,12 @@ bool RunToCompletion(const Options& opts, const std::vector<Sample>& stream,
                         HarnessPolicy(opts.seed, incarnation));
   if (!client.Connect()) return false;
   const auto info = client.GetWatermark();
-  if (!info) return false;
+  if (!info || !WatermarkCoversAcks(info->samples_consumed, offset,
+                                    incarnation)) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    return false;
+  }
   offset = static_cast<std::size_t>(info->samples_consumed);
   if (!StreamBatches(&client, stream, &offset, opts.batch, pid, nullptr)) {
     return false;
@@ -336,7 +392,8 @@ int RunParent(const Options& opts) {
 
   // 2. The torture run: one incarnation per planned kill, then a final
   //    incarnation that finishes the stream crash-free.
-  const std::vector<KillPlan> plan = MakeKillPlan(opts.seed, opts.kills);
+  const std::vector<KillPlan> plan =
+      MakeKillPlan(opts.seed, opts.kills, opts.segment_bytes > 0);
   std::size_t offset = 0;
   int killed = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
@@ -361,6 +418,11 @@ int RunParent(const Options& opts) {
       ::waitpid(pid, nullptr, 0);
       return 1;
     }
+    if (!WatermarkCoversAcks(info->samples_consumed, offset, incarnation)) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+      return 1;
+    }
     offset = static_cast<std::size_t>(info->samples_consumed);
     const bool finished =
         StreamBatches(&client, stream, &offset, opts.batch, pid, &kill);
@@ -377,7 +439,7 @@ int RunParent(const Options& opts) {
       std::fprintf(stderr,
                    "crashloop: incarnation %d %s at offset %zu/%zu (%s)\n",
                    incarnation, finished ? "drained" : "died", offset,
-                   stream.size(), kill.sigkill ? "sigkill" : "torn append");
+                   stream.size(), KillKind(kill));
     }
   }
 
@@ -414,9 +476,14 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: crashloop [--out-dir D] [--shards N] [--links N] [--days N]\n"
-      "                 [--batch N] [--kills N] [--seed N] [--verbose]\n"
+      "                 [--batch N] [--kills N] [--seed N]\n"
+      "                 [--segment-bytes N] [--verbose]\n"
+      "  --segment-bytes N  WAL segment size; small sizes make the daemon\n"
+      "                     checkpoint often, and half the kills then die\n"
+      "                     inside a checkpoint\n"
       "  (internal daemon role: --daemon --wal-dir D --port-file P\n"
-      "   --verdict-log V [--crash-record N --crash-bytes N])\n");
+      "   --verdict-log V [--crash-record N --crash-bytes N]\n"
+      "   [--crash-checkpoint N --crash-step S])\n");
   return 2;
 }
 
@@ -462,6 +529,14 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
           runtime::ParseBoundedInt(next(), 0, 1 << 30, &ok);
     } else if (arg == "--crash-bytes") {
       opts.crash_bytes = runtime::ParseBoundedInt(next(), 0, 1 << 30, &ok);
+    } else if (arg == "--segment-bytes") {
+      opts.segment_bytes = static_cast<std::size_t>(
+          runtime::ParseBoundedInt(next(), 64, 1 << 30, &ok));
+    } else if (arg == "--crash-checkpoint") {
+      opts.crash_checkpoint =
+          runtime::ParseBoundedInt(next(), 0, 1 << 30, &ok);
+    } else if (arg == "--crash-step") {
+      opts.crash_step = runtime::ParseBoundedInt(next(), 0, 2, &ok);
     } else {
       ok = false;
     }
