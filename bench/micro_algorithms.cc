@@ -1,20 +1,26 @@
 // Microbenchmarks (google-benchmark) of the performance-critical algorithms
 // and the ablation comparisons DESIGN.md calls out: batch vs rolling
 // autocorrelation, fluid vs packet-level queue model, prefix-trie lookup,
-// BGP route computation, per-probe simulation cost, and the level-shift
-// detector.
+// BGP route computation, per-probe simulation cost, the level-shift
+// detector, and the WAL's day-close sync.
 #include <benchmark/benchmark.h>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "infer/autocorr.h"
 #include "infer/level_shift.h"
 #include "infer/rolling.h"
+#include "runtime/metrics.h"
 #include "runtime/seed_tree.h"
 #include "runtime/thread_pool.h"
 #include "scenario/small.h"
+#include "serve/wal.h"
 #include "sim/packet_queue.h"
 #include "stats/rng.h"
 #include "topo/prefix_trie.h"
@@ -243,6 +249,117 @@ void BM_TsdbRetentionPerClose(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSeries);
 }
 BENCHMARK(BM_TsdbRetentionPerClose);
+
+// ---- serve WAL --------------------------------------------------------------
+
+// The ingest workload's day in the WAL: 154 pair-day batches of 192 samples,
+// each a 4,041-byte record.
+constexpr int kWalDayRecords = 154;
+constexpr int kWalRecordSamples = 192;
+
+// A scratch directory under the system temp dir, removed on destruction.
+struct BenchDir {
+  explicit BenchDir(const char* tag)
+      : path((std::filesystem::temp_directory_path() / tag).string()) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~BenchDir() { std::filesystem::remove_all(path); }
+  std::string path;
+};
+
+// The day-close ack's durable half: the real WalWriter under the default
+// kDayClose policy appends one day of records (untimed), then the close
+// marker and its fdatasync (timed). Each iteration starts a fresh segment
+// and retires the previous one, so the file stays one day long.
+void BM_WalDayClose(benchmark::State& state) {
+  const BenchDir dir("manic_bm_wal_day_close");
+  std::vector<serve::Sample> batch(kWalRecordSamples);
+  for (int i = 0; i < kWalRecordSamples; ++i) {
+    batch[static_cast<std::size_t>(i)].t = 300 * i;
+    batch[static_cast<std::size_t>(i)].link = 1 + i % 58;
+    batch[static_cast<std::size_t>(i)].value = 10.0f + static_cast<float>(i);
+  }
+  serve::WalWriter writer;
+  serve::WalConfig config;
+  config.dir = dir.path;
+  if (writer.Open(config) != serve::WalStatus::kOk) {
+    state.SkipWithError("cannot open the wal");
+    return;
+  }
+  std::int64_t day = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    bool ok = writer.Roll() == serve::WalStatus::kOk;
+    (void)serve::RetireCovered(dir.path, writer.segment_index(), 0);
+    for (int r = 0; r < kWalDayRecords && ok; ++r) {
+      ok = writer.AppendSamples(batch) == serve::WalStatus::kOk;
+    }
+    state.ResumeTiming();
+    if (!ok || writer.AppendClose(++day) != serve::WalStatus::kOk) {
+      state.SkipWithError("wal append failed");
+      break;
+    }
+  }
+  state.counters["hints_per_day"] = benchmark::Counter(
+      static_cast<double>(writer.writeback_hints()) /
+      static_cast<double>(std::max<std::int64_t>(1, day)));
+}
+BENCHMARK(BM_WalDayClose)->Unit(benchmark::kMicrosecond);
+
+// The sweep behind kWalWritebackBytes, on raw syscalls: one day of
+// 4,041-byte writes with a sync_file_range(SYNC_FILE_RANGE_WRITE) hint
+// every arg KiB (0 = never), then the day's fdatasync. The timed part is
+// the fdatasync; `hint_us` is the mean cost of one hint call.
+void BM_WalWritebackSweep(benchmark::State& state) {
+  const BenchDir dir("manic_bm_wal_sweep");
+  const std::string path = dir.path + "/day.seg";
+  const std::size_t hint_bytes = static_cast<std::size_t>(state.range(0))
+                                 << 10;
+  const std::string record(4041, 'x');
+  double hint_s = 0.0;
+  std::int64_t hints = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+    if (fd < 0) {
+      state.SkipWithError("cannot open the scratch file");
+      break;
+    }
+    std::size_t written = 0;
+    std::size_t hinted = 0;
+    for (int r = 0; r < kWalDayRecords; ++r) {
+      if (::write(fd, record.data(), record.size()) !=
+          static_cast<ssize_t>(record.size())) {
+        state.SkipWithError("write failed");
+        break;
+      }
+      written += record.size();
+      if (hint_bytes != 0 && written - hinted >= hint_bytes) {
+        const double t0 = runtime::WallSeconds();
+        (void)::sync_file_range(fd, static_cast<off_t>(hinted),
+                                static_cast<off_t>(written - hinted),
+                                SYNC_FILE_RANGE_WRITE);
+        hint_s += runtime::WallSeconds() - t0;
+        ++hints;
+        hinted = written;
+      }
+    }
+    state.ResumeTiming();
+    (void)::fdatasync(fd);
+    state.PauseTiming();
+    ::close(fd);
+    state.ResumeTiming();
+  }
+  state.counters["hint_us"] = benchmark::Counter(
+      hints == 0 ? 0.0 : 1e6 * hint_s / static_cast<double>(hints));
+}
+BENCHMARK(BM_WalWritebackSweep)
+    ->Arg(0)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- runtime ----------------------------------------------------------------
 

@@ -198,38 +198,26 @@ void TcpDaemon::Run() {
         const short revents = fds[i + 2].revents;
         if (revents & (POLLERR | POLLHUP | POLLNVAL)) conn->closing = true;
         if (!conn->closing && (revents & POLLIN)) HandleReadable(conn);
-        if (revents & (POLLIN | POLLOUT)) {
-          if (!FlushOutbox(conn)) conn->closing = true;
-          conn->idle_ticks = 0;
-        } else {
-          ++conn->idle_ticks;
+        if ((revents & (POLLIN | POLLOUT)) && !FlushOutbox(conn)) {
+          conn->closing = true;
         }
-      }
-    } else {
-      // Timed-out tick: nobody moved bytes, everyone idles one notch.
-      for (Conn* conn : conns_) ++conn->idle_ticks;
-    }
-
-    if (max_idle_ticks_ != 0) {
-      for (Conn* conn : conns_) {
-        if (conn->idle_ticks > max_idle_ticks_) conn->closing = true;
       }
     }
 
     // Reap: a closing connection gets one final best-effort flush (the
-    // kError frame) before the socket drops.
-    std::vector<Conn*> alive;
-    alive.reserve(conns_.size());
+    // kError frame) before the socket drops. Survivors compact in place, so
+    // the loop allocates nothing per tick.
+    std::size_t kept = 0;
     for (Conn* conn : conns_) {
       if (conn->closing) {
         FlushOutbox(conn);
         ::close(conn->fd);
         delete conn;
       } else {
-        alive.push_back(conn);
+        conns_[kept++] = conn;
       }
     }
-    conns_.swap(alive);
+    conns_.resize(kept);
   }
   CloseAll();
 }

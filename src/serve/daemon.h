@@ -56,19 +56,12 @@ class TcpDaemon {
   // cannot exhaust daemon memory. Set before Run().
   void set_max_outbox_bytes(std::size_t n) noexcept { max_outbox_bytes_ = n; }
 
-  // Idle-connection reaping: a connection with no socket activity for this
-  // many consecutive poll ticks (~100ms each) is dropped, so abandoned
-  // peers cannot pin daemon memory forever. Counted in loop ticks, not wall
-  // time, to keep the loop free of clock reads. 0 = never reap (default).
-  void set_max_idle_ticks(std::uint32_t n) noexcept { max_idle_ticks_ = n; }
-
  private:
   struct Conn {
     Session session;
     std::string outbox;
     int fd = -1;
-    std::uint32_t idle_ticks = 0;  // poll ticks since the last byte moved
-    bool closing = false;          // flush what we can, then drop
+    bool closing = false;  // flush what we can, then drop
     explicit Conn(CongestionService* service) : session(service) {}
   };
 
@@ -84,7 +77,6 @@ class TcpDaemon {
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_{false};
   std::size_t max_outbox_bytes_ = 4u << 20;
-  std::uint32_t max_idle_ticks_ = 0;
   std::vector<Conn*> conns_;
 };
 

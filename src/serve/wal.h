@@ -23,7 +23,11 @@
 // Durability ladder (WalFsync): kNone trusts the page cache entirely (crash-
 // of-process safe, not power-loss safe); kDayClose (default) fsyncs at every
 // day-close marker, bounding power-loss exposure to the open day; kEveryAppend
-// fsyncs each record. Between fsyncs, a lost suffix is recovered from the
+// fsyncs each record. Under kDayClose the writer also asks the kernel to
+// start writing back every kWalWritebackBytes of records appended since the
+// last sync (sync_file_range, SYNC_FILE_RANGE_WRITE), so the marker's
+// fdatasync flushes only the tail of the day; the hint changes no byte and
+// no durability point. Between fsyncs, a lost suffix is recovered from the
 // client side: acks are sent only after the record reaches the log, so a
 // reconnecting client (RetryingClient + kGetWatermark) resubmits exactly the
 // un-acked suffix.
@@ -131,6 +135,8 @@ class WalWriter {
 
   std::uint64_t records_appended() const noexcept { return records_; }
   std::uint64_t segments_opened() const noexcept { return segments_opened_; }
+  // Writeback hints sent (kDayClose only; see the header comment).
+  std::uint64_t writeback_hints() const noexcept { return writeback_hints_; }
 
  private:
   WalStatus AppendFrame(std::string_view frame, bool day_close);
@@ -146,6 +152,10 @@ class WalWriter {
   std::uint64_t write_ops_ = 0;      // write() attempt counter (fault seam)
   std::uint64_t fsync_ops_ = 0;      // fsync() attempt counter (fault seam)
   std::size_t segment_written_ = 0;  // record bytes in the open segment
+  // Record bytes of the open segment already synced or hinted; the next
+  // writeback hint covers [writeback_from_, segment_written_).
+  std::size_t writeback_from_ = 0;
+  std::uint64_t writeback_hints_ = 0;
   std::string frame_buf_;            // reused per-append encode buffer
 };
 
@@ -167,6 +177,12 @@ std::uint64_t RetireCovered(const std::string& dir, std::uint32_t first_live,
 // Bytes ReadWal asks read() for at a time. Recovery holds one chunk plus
 // the largest legal frame (kMaxFramePayload) whatever the segment size.
 inline constexpr std::size_t kWalReadChunkBytes = std::size_t{1} << 20;
+
+// Record bytes between writeback hints under WalFsync::kDayClose. Large
+// enough that the writeback it starts does not interfere with the acks that
+// follow (64 KiB hints cut the close as much but raised the ingest tail),
+// small enough that a 620 KiB day leaves only its tail to the close's sync.
+inline constexpr std::size_t kWalWritebackBytes = std::size_t{256} << 10;
 
 // Replays every complete record under `dir` in order: runs of samples to
 // `on_samples`, day-close markers to `on_close`. Each segment streams

@@ -182,6 +182,107 @@ TEST(WalWriter, SegmentsRotateAndReplayInOrder) {
   EXPECT_EQ(closes, (std::vector<std::int64_t>{1, 2, 3, 4, 5}));
 }
 
+// Counts the writer's trips through the fault seams; injects nothing.
+class RecordingIoHook final : public runtime::IoFaultHook {
+ public:
+  WriteFault WriteAt(std::uint64_t /*op*/, std::size_t /*len*/) const override {
+    ++writes;
+    return {};
+  }
+  bool FsyncOkAt(std::uint64_t /*op*/) const override {
+    ++fsyncs;
+    return true;
+  }
+  mutable std::uint64_t writes = 0;
+  mutable std::uint64_t fsyncs = 0;
+};
+
+// Every segment file under dir with its bytes.
+std::map<std::string, std::string> SegmentFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-0", 0) != 0) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[name] = std::string((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+// The writeback hint under kDayClose is only a hint: the same appends leave
+// the same segment bytes under every policy, the fault seams see exactly
+// one write per magic and per record and one fsync per durability point,
+// and the hints fire once per kWalWritebackBytes between syncs — never
+// under kNone or kEveryAppend. The days are ~4 KiB records, more than
+// 256 KiB a day, and the segment rolls after every second day's marker, so
+// a cursor that survives a roll shows as an extra hint.
+TEST(WalWriter, WritebackHintsLeaveBytesAndFaultSeamsUnchanged) {
+  constexpr std::int64_t kDays = 4;
+  constexpr int kRecordsPerDay = 140;
+  constexpr int kSamplesPerRecord = 192;
+  const auto record = [](std::int64_t day, int r) {
+    std::vector<Sample> batch;
+    for (int i = 0; i < kSamplesPerRecord; ++i) {
+      batch.push_back(MakeSample(day, i % 24, 1 + r % 50,
+                                 static_cast<topo::VpId>(1 + i / 24)));
+    }
+    return batch;
+  };
+  const std::size_t record_bytes = EncodeSubmitBatch(record(0, 0)).size();
+  const std::size_t day_bytes =
+      kRecordsPerDay * record_bytes + EncodeFlushAck(0).size();
+  ASSERT_GT(kRecordsPerDay * record_bytes, 2 * kWalWritebackBytes);
+  // The writer hints on the append that brings the unsynced, unhinted
+  // bytes to kWalWritebackBytes.
+  const std::uint64_t records_per_hint =
+      (kWalWritebackBytes + record_bytes - 1) / record_bytes;
+  const std::uint64_t hints_per_day = kRecordsPerDay / records_per_hint;
+  ASSERT_EQ(hints_per_day, 2u);
+
+  constexpr std::uint64_t kRecords = kDays * (kRecordsPerDay + 1);
+  constexpr std::uint64_t kRolls = kDays / 2;
+  std::map<std::string, std::string> first_bytes;
+  for (const WalFsync policy :
+       {WalFsync::kNone, WalFsync::kDayClose, WalFsync::kEveryAppend}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    WalDir dir("writeback_hints");
+    RecordingIoHook hook;
+    WalConfig config;
+    config.dir = dir.path;
+    config.fsync = policy;
+    config.segment_bytes = 2 * day_bytes;
+    config.fault_hook = &hook;
+    WalWriter writer;
+    ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+    for (std::int64_t day = 1; day <= kDays; ++day) {
+      for (int r = 0; r < kRecordsPerDay; ++r) {
+        ASSERT_EQ(writer.AppendSamples(record(day, r)), WalStatus::kOk);
+      }
+      ASSERT_EQ(writer.AppendClose(day), WalStatus::kOk);
+    }
+    ASSERT_EQ(writer.CloseClean(), WalStatus::kOk);
+
+    EXPECT_EQ(writer.segments_opened(), kRolls + 1);
+    EXPECT_EQ(hook.writes, writer.segments_opened() + kRecords);
+    const std::uint64_t policy_syncs =
+        policy == WalFsync::kNone       ? 0
+        : policy == WalFsync::kDayClose ? kDays
+                                        : kRecords;
+    EXPECT_EQ(hook.fsyncs, policy_syncs + kRolls + 1);
+    EXPECT_EQ(writer.writeback_hints(),
+              policy == WalFsync::kDayClose ? kDays * hints_per_day : 0u);
+
+    const std::map<std::string, std::string> bytes = SegmentFiles(dir.path);
+    ASSERT_EQ(bytes.size(), kRolls + 1);
+    if (first_bytes.empty()) {
+      first_bytes = bytes;
+    } else {
+      EXPECT_TRUE(bytes == first_bytes);
+    }
+  }
+}
+
 // ------------------------------------------------- torn-tail truncation
 
 // The tentpole truncation test: cut the log at EVERY byte boundary inside
