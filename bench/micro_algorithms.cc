@@ -20,8 +20,10 @@
 #include "runtime/seed_tree.h"
 #include "runtime/thread_pool.h"
 #include "scenario/small.h"
+#include "serve/service.h"
 #include "serve/wal.h"
 #include "sim/packet_queue.h"
+#include "stats/calendar.h"
 #include "stats/rng.h"
 #include "topo/prefix_trie.h"
 #include "tsdb/tsdb.h"
@@ -271,7 +273,8 @@ struct BenchDir {
 // The day-close ack's durable half: the real WalWriter under the default
 // kDayClose policy appends one day of records (untimed), then the close
 // marker and its fdatasync (timed). Each iteration starts a fresh segment
-// and retires the previous one, so the file stays one day long.
+// and retires the previous one, so the file stays one day long; the fresh
+// segment's directory sync (once per 64 MiB in service) is taken untimed.
 void BM_WalDayClose(benchmark::State& state) {
   const BenchDir dir("manic_bm_wal_day_close");
   std::vector<serve::Sample> batch(kWalRecordSamples);
@@ -290,7 +293,8 @@ void BM_WalDayClose(benchmark::State& state) {
   std::int64_t day = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    bool ok = writer.Roll() == serve::WalStatus::kOk;
+    bool ok = writer.Roll() == serve::WalStatus::kOk &&
+              writer.Sync() == serve::WalStatus::kOk;
     (void)serve::RetireCovered(dir.path, writer.segment_index(), 0);
     for (int r = 0; r < kWalDayRecords && ok; ++r) {
       ok = writer.AppendSamples(batch) == serve::WalStatus::kOk;
@@ -360,6 +364,81 @@ BENCHMARK(BM_WalWritebackSweep)
     ->Arg(256)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+
+// The ingest workload's day close through the whole service: a 2-shard
+// CongestionService with the WAL on under kDayClose takes one day of
+// pair-day batches (untimed), then the batch whose first sample opens the
+// next day (timed). Its ack covers the marker's write and the hand-off; the
+// marker's sync, the shards' finalize and the publish run on the closer
+// thread. `next_submit_us` is the plain batch right after it, which shares
+// the host with the closer's work; `publish_ms` is the wait until the
+// closed day is visible to a query (the whole close, as a reader sees it).
+void BM_ServiceDayClose(benchmark::State& state) {
+  const BenchDir dir("manic_bm_service_day_close");
+  serve::ServiceConfig config;
+  config.shards = 2;
+  config.wal_dir = dir.path;
+  config.wal_segment_bytes = std::size_t{1} << 30;  // no checkpoint close
+  serve::CongestionService service(config);
+  service.Start();
+  if (!service.RecoverFromWal().ok) {
+    state.SkipWithError("cannot open the wal");
+    return;
+  }
+  // Pair p's batch of `day`: 192 samples over the day, far and near rows of
+  // one (link, VP) pair.
+  std::vector<serve::Sample> batch(kWalRecordSamples);
+  const auto fill = [&batch](std::int64_t day, int pair) {
+    for (int i = 0; i < kWalRecordSamples; ++i) {
+      serve::Sample& s = batch[static_cast<std::size_t>(i)];
+      s.t = day * stats::kSecPerDay + (i / 2) * 900;
+      s.link = static_cast<topo::LinkId>(1 + pair % 58);
+      s.vp = static_cast<topo::VpId>(1 + pair / 58);
+      s.kind = i % 2 == 0 ? serve::SampleKind::kFarRtt
+                          : serve::SampleKind::kNearRtt;
+      s.value = 10.0f + static_cast<float>(i % 7);
+    }
+  };
+  const auto submit = [&] {
+    return service.SubmitBatch(batch).accepted == batch.size();
+  };
+  std::int64_t day = 0;
+  double next_s = 0.0;
+  double publish_s = 0.0;
+  bool ok = true;
+  for (int p = 0; p < 2 && ok; ++p) {
+    fill(day, p);
+    ok = submit();
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int p = 2; p < kWalDayRecords && ok; ++p) {
+      fill(day, p);
+      ok = submit();
+    }
+    ++day;
+    fill(day, 0);
+    const double t0 = runtime::WallSeconds();
+    state.ResumeTiming();
+    ok = ok && submit();
+    state.PauseTiming();
+    const double t1 = runtime::WallSeconds();
+    fill(day, 1);
+    ok = ok && submit();
+    next_s += runtime::WallSeconds() - t1;
+    ok = ok && service.LastClosedDay() == day - 1;
+    publish_s += runtime::WallSeconds() - t0;
+    state.ResumeTiming();
+    if (!ok) {
+      state.SkipWithError("submit or close failed");
+      break;
+    }
+  }
+  const double closes = static_cast<double>(std::max<std::int64_t>(1, day));
+  state.counters["next_submit_us"] = benchmark::Counter(1e6 * next_s / closes);
+  state.counters["publish_ms"] = benchmark::Counter(1e3 * publish_s / closes);
+}
+BENCHMARK(BM_ServiceDayClose)->Iterations(120)->Unit(benchmark::kMicrosecond);
 
 // ---- runtime ----------------------------------------------------------------
 

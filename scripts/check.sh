@@ -29,11 +29,12 @@
 #      tests (staged runs, wrap-around, runs longer than the ring against a
 #      live consumer) and the CongestionService tests (batch-boundary
 #      equivalence on a 4-slot ring, run handover after submit and WAL
-#      recovery), the ServiceWal and WalRecovery tests (the shards finalize
-#      a day while the producer syncs its close marker; crash recovery,
-#      ENOSPC degradation, and the streamed WAL reader), plus the faulted
+#      recovery), the ServiceWal and WalRecovery tests (the closer thread
+#      syncs a day's marker while the shards finalize it and the producer
+#      goes on submitting; crash recovery, ENOSPC and failed-sync
+#      degradation, and the streamed WAL reader), plus the faulted
 #      chaos study through the full serving plane (--serve, 4 ingest
-#      shards: daemon event loop, shard workers, and the query plane all
+#      shards: daemon event loop, shard workers, the closer, and the query plane all
 #      under TSan) and crashloop kill/recover cycles (WAL replay and the
 #      drain path under TSan, with and without checkpoints), then UBSan (-DMANIC_SANITIZE=undefined,
 #      non-recoverable) running the full suite
@@ -187,7 +188,8 @@ cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|CongestionService|ServiceWal|WalRecovery|ServiceCheckpoint'
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
-# collector handshake, exercised by the faulted chaos study end to end.
+# closer's collector handshake, exercised by the faulted chaos study end to
+# end.
 ./build-tsan/examples/example_continental_study 45 4 4 \
   --faults "$CHAOS_PLAN" --serve --serve-shards 4 \
   > "$OUT_DIR/tsan_serve.txt" 2> "$OUT_DIR/tsan_serve.err"
@@ -201,7 +203,7 @@ rm -rf "$OUT_DIR/tsan_crashloop"
   --kills 2 --seed 3
 echo "TSan crashloop OK (2 seeded kills, recover + drain under the race detector)."
 # And with checkpoints: the shard workers write their parts at the marker
-# while the producer syncs it, and recovery restores them, under TSan.
+# while the closer syncs it, and recovery restores them, under TSan.
 rm -rf "$OUT_DIR/tsan_crashloop_ckpt"
 ./build-tsan/tools/crashloop --out-dir "$OUT_DIR/tsan_crashloop_ckpt" \
   --shards 4 --kills 4 --seed 3 --segment-bytes 4096

@@ -17,13 +17,16 @@
 // the verdicts (the engine keeps the day's per-link quality rows), and
 // release-publishes closed_through_. The marker goes out in the same
 // publish as the samples staged ahead of it (publish-before-marker): the
-// producer then blocks in WaitClosed, so a sample still staged behind it
-// would never reach the worker — and ring order means the worker folds
-// every day-d sample before it sees day d's close, whichever batch
-// boundaries the stream had. The collector thread waits on closed_through_
-// and only then reads the deposits — the deposit slots are plain members,
-// made safe by the acquire/release pair plus the service discipline of
-// collecting day d before issuing the close for day d+1.
+// service's collector then blocks in WaitClosed, and a marker still staged
+// would reach the worker only at the producer's next publish — and ring
+// order means the worker folds every day-d sample before it sees day d's
+// close, whichever batch boundaries the stream had. The collector is the
+// service's closer thread: it waits on closed_through_ and only then reads
+// the deposits — the deposit slots are plain members, made safe by the
+// acquire/release pair plus the service discipline of collecting day d
+// before issuing the close for day d+1 (the producer waits for the closer
+// to finish d, under the service's hand-off mutex, before it pushes d+1's
+// marker, so each slot is read once per close).
 //
 // A sample's engine state and its tsdb series handles share one dense pair
 // slot (ShardEngine::SlotOf): one lookup per sample, not one per map.
@@ -99,12 +102,12 @@ class IngestShard {
   void PushCheckpointDay(std::int64_t day, std::string part_path, bool sync,
                          const runtime::IoFaultHook* hook);
 
-  // ---- collector side --------------------------------------------------------
+  // ---- collector side (the service's closer thread) ------------------------
   // Blocks until the worker has finalized `day`.
   void WaitClosed(std::int64_t day);
   // Deposits for the most recently closed day. Valid only between
   // WaitClosed(d) returning and the next PushCloseDay — the service
-  // collects each day before scheduling the next close.
+  // collects each day before scheduling the next close (depth one).
   std::vector<VerdictRecord> TakeDayVerdicts();
   // Per-link quality as of the most recently closed day, ascending link —
   // the same validity window as TakeDayVerdicts.

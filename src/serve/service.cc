@@ -10,6 +10,13 @@
 #include "stats/calendar.h"
 
 namespace manic::serve {
+namespace {
+
+// The service whose closer runs on this thread, if any: a fault hook that
+// queries from inside the closer's sync must not wait for its own close.
+thread_local const CongestionService* t_closer_of = nullptr;
+
+}  // namespace
 
 CongestionService::CongestionService(ServiceConfig config)
     : config_(config) {
@@ -34,12 +41,14 @@ void CongestionService::Start() {
 }
 
 void CongestionService::Stop() {
+  StopCloser();
   if (!running_) return;
   for (auto& shard : shards_) shard->Stop();
   running_ = false;
 }
 
 SubmitOutcome CongestionService::Submit(const Sample& s) {
+  ReapClose();
   const bool was_degraded = degraded_;
   SubmitOutcome outcome = SubmitOne(s, true);
   PublishShards();
@@ -118,6 +127,7 @@ SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
 }
 
 SubmitSummary CongestionService::SubmitBatch(std::span<const Sample> samples) {
+  ReapClose();
   SubmitSummary summary;
   const bool was_degraded = degraded_;
   for (const Sample& s : samples) {
@@ -159,6 +169,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
     stats.ok = true;
     return stats;
   }
+  DrainClose();
   // The newest committed checkpoint loads into quiescent shards; then every
   // segment it covers, and every other checkpoint file, is deleted (a crash
   // may have stopped the last retirement halfway).
@@ -188,6 +199,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
         PublishShards();
       },
       [this](std::int64_t day) { CloseThrough(day); });
+  DrainClose();  // the last replayed close, before wal_ is replaced
   replaying_ = false;
   stats.checkpoint_bytes = checkpoint_bytes;
   if (!stats.ok) return stats;
@@ -209,6 +221,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
 }
 
 WalStatus CongestionService::CloseWalClean() {
+  DrainClose();
   if (wal_ == nullptr) return WalStatus::kOk;
   if (!WalLive()) return WalStatus::kIoError;  // degraded: nothing to stamp
   WalStatus status = FlushWalPending();
@@ -242,6 +255,9 @@ void CongestionService::PublishShards() {
 }
 
 void CongestionService::EnterDegraded() {
+  // The closer may be syncing the segment Abandon closes; whatever its
+  // sync says, the service degrades now.
+  (void)WaitClose();
   degraded_ = true;
   wal_pending_.clear();
   if (wal_ != nullptr) wal_->Abandon();
@@ -249,6 +265,7 @@ void CongestionService::EnterDegraded() {
 
 void CongestionService::PollClock() {
   if (config_.clock == nullptr) return;
+  ReapClose();
   const std::int64_t today = stats::DayOf(config_.clock->NowSec());
   if (!saw_sample_) {
     saw_sample_ = true;
@@ -259,23 +276,34 @@ void CongestionService::PollClock() {
 }
 
 std::int64_t CongestionService::FinishStream() {
+  DrainClose();
   if (saw_sample_) CloseThrough(stats::DayOf(watermark_t_));
-  return producer_last_closed_;
+  // The stream ends here: the last close publishes (or fails) first, so
+  // the day returned is the last one published.
+  DrainClose();
+  return LastClosedDay();
 }
 
 void CongestionService::CloseThrough(std::int64_t target_day) {
   while (producer_last_closed_ < target_day) {
     const std::int64_t day = producer_last_closed_ + 1;
+    // Depth one: the previous close has published and collected every
+    // shard's deposit before this day's markers go out, so the deposit
+    // slots stay single-use (see ingest.h).
+    DrainClose();
+    // A degraded service closes no more days: a day publishes only once its
+    // marker is durable, and after a failed close none can be, so the
+    // published days end at the last durable one, without a hole.
+    if (degraded_) return;
     // The first close after a segment rotation checkpoints (see the header
     // comment); its parts are named for the segment after the open one.
     const bool checkpoint =
         WalLive() && wal_->segment_index() != checkpoint_base_segment_;
     const std::uint32_t parts_tag = wal_ ? wal_->segment_index() + 1 : 0;
     // Broadcast the in-band close marker first, so the shards finalize the
-    // day while the producer makes it durable below. Every sample that can
+    // day while the marker is written and synced. Every sample that can
     // contribute is already staged ahead of the marker (publish-before-
-    // marker), and a shard's result is invisible until the publish at the
-    // end of this iteration.
+    // marker), and a shard's result is invisible until the closer publishes.
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       if (checkpoint) {
         shards_[i]->PushCheckpointDay(
@@ -287,33 +315,77 @@ void CongestionService::CloseThrough(std::int64_t target_day) {
         shards_[i]->PushCloseDay(day);
       }
     }
+    CloseJob job;
+    job.day = day;
+    job.checkpoint = checkpoint;
+    job.wal = wal_.get();
     if (WalLive()) {
       // Durability order: every sample that can contribute to this close,
-      // then the close marker (fsynced under kDayClose), then (below) the
+      // then the close marker, then (on the closer) its sync, then the
       // verdicts publish. A crash before the marker recovers to "day still
       // open" — the verdicts were never acknowledged to anyone.
       if (FlushWalPending() != WalStatus::kOk ||
-          wal_->AppendClose(day) != WalStatus::kOk) {
+          wal_->AppendCloseDeferred(day, &job.sync) != WalStatus::kOk) {
         EnterDegraded();
       }
     }
-    // Wait for every shard to deposit; collecting before the next close is
-    // what keeps the deposit slots race-free (see ingest.h).
-    std::vector<VerdictRecord> merged;
-    std::vector<CheckpointPart> parts;
-    for (auto& shard : shards_) {
-      shard->WaitClosed(day);
-      std::vector<VerdictRecord> part = shard->TakeDayVerdicts();
-      merged.insert(merged.end(), part.begin(), part.end());
-      if (checkpoint) parts.push_back(shard->TakeCheckpointPart());
+    // Degraded here means this day's flush or marker write just failed: the
+    // closer collects the shards' deposits but does not publish the day.
+    job.publish = !degraded_;
+    HandOffClose(std::move(job));
+    producer_last_closed_ = day;
+    if (checkpoint) {
+      std::vector<CheckpointPart> parts;
+      if (!WaitClose(&parts)) EnterDegraded();
+      CommitCheckpoint(day, parts_tag, parts);
     }
-    // Each link lives on exactly one shard, so link order is a total order
-    // over the merged rows — the log is independent of the shard count.
+  }
+}
+
+void CongestionService::HandOffClose(CloseJob job) {
+  if (!closer_.joinable()) closer_ = std::thread([this] { CloserLoop(); });
+  {
+    runtime::MutexLock lock(close_mu_);
+    close_job_ = std::move(job);
+    close_state_ = CloseState::kHanded;
+  }
+  close_cv_.notify_all();
+  close_handed_ = true;
+}
+
+void CongestionService::CloserLoop() {
+  t_closer_of = this;
+  // Reused close after close.
+  std::vector<VerdictRecord> merged;
+  std::vector<CheckpointPart> parts;
+  for (;;) {
+    CloseJob job;
+    {
+      runtime::MutexLock lock(close_mu_);
+      while (close_state_ == CloseState::kIdle) close_cv_.wait(close_mu_);
+      if (close_state_ == CloseState::kExit) return;
+      job = std::move(close_job_);
+      close_state_ = CloseState::kRunning;
+    }
+    // The marker's durability point: the fault seam is consulted here,
+    // with the op index the producer took at the append.
+    const bool synced = job.sync.fd < 0 ||
+                        job.wal->SyncDeferred(job.sync) == WalStatus::kOk;
+    // Every shard's deposit. Each link lives on exactly one shard, so link
+    // order is a total order over the merged rows — the log is
+    // independent of the shard count.
+    merged.clear();
+    for (auto& shard : shards_) {
+      shard->WaitClosed(job.day);
+      const std::vector<VerdictRecord> part = shard->TakeDayVerdicts();
+      merged.insert(merged.end(), part.begin(), part.end());
+      if (job.checkpoint) parts.push_back(shard->TakeCheckpointPart());
+    }
     std::sort(merged.begin(), merged.end(),
               [](const VerdictRecord& a, const VerdictRecord& b) {
                 return a.link < b.link;
               });
-    {
+    if (job.publish && synced) {
       runtime::MutexLock lock(mu_);
       for (const VerdictRecord& v : merged) {
         // std::map subscript keys cannot overflow, and these verdicts came
@@ -327,11 +399,61 @@ void CongestionService::CloseThrough(std::int64_t target_day) {
           quality_[link] = q;
         }
       }
-      last_closed_day_ = day;
+      last_closed_day_ = job.day;
       ++days_closed_;
     }
-    producer_last_closed_ = day;
-    if (checkpoint) CommitCheckpoint(day, parts_tag, parts);
+    {
+      runtime::MutexLock lock(close_mu_);
+      close_failed_ = !synced;
+      close_parts_.swap(parts);
+      parts.clear();
+      close_state_ = CloseState::kIdle;
+    }
+    close_cv_.notify_all();
+  }
+}
+
+bool CongestionService::WaitClose(std::vector<CheckpointPart>* parts) {
+  if (!close_handed_) return true;
+  close_handed_ = false;
+  runtime::MutexLock lock(close_mu_);
+  while (close_state_ != CloseState::kIdle) close_cv_.wait(close_mu_);
+  if (parts != nullptr) parts->swap(close_parts_);
+  return !close_failed_;
+}
+
+void CongestionService::DrainClose() {
+  if (!WaitClose()) EnterDegraded();
+}
+
+void CongestionService::ReapClose() {
+  if (!close_handed_) return;
+  {
+    runtime::MutexLock lock(close_mu_);
+    if (close_state_ != CloseState::kIdle) return;
+  }
+  DrainClose();
+}
+
+void CongestionService::StopCloser() {
+  DrainClose();
+  if (!closer_.joinable()) return;
+  {
+    runtime::MutexLock lock(close_mu_);
+    close_state_ = CloseState::kExit;
+  }
+  close_cv_.notify_all();
+  closer_.join();
+  runtime::MutexLock lock(close_mu_);
+  close_state_ = CloseState::kIdle;
+}
+
+void CongestionService::AwaitClose() const {
+  if (t_closer_of == this) return;
+  runtime::MutexLock lock(close_mu_);
+  while (close_state_ == CloseState::kHanded ||
+         close_state_ == CloseState::kRunning) {
+    close_cv_.wait(close_mu_);
   }
 }
 
@@ -596,6 +718,7 @@ bool CongestionService::LoadCheckpoint(std::uint32_t first_live,
 std::vector<VerdictRecord> CongestionService::QueryRange(topo::LinkId link,
                                                          TimeSec t0,
                                                          TimeSec t1) const {
+  AwaitClose();
   std::vector<VerdictRecord> out;
   const std::int64_t first_day = stats::DayOf(t0);
   runtime::MutexLock lock(mu_);
@@ -615,6 +738,7 @@ std::vector<VerdictRecord> CongestionService::QueryRange(topo::LinkId link,
 
 std::optional<VerdictRecord> CongestionService::QueryPoint(topo::LinkId link,
                                                            TimeSec t) const {
+  AwaitClose();
   const std::int64_t day = stats::DayOf(t);
   runtime::MutexLock lock(mu_);
   const auto it = index_.find(link);
@@ -631,6 +755,7 @@ std::optional<VerdictRecord> CongestionService::QueryPoint(topo::LinkId link,
 
 std::optional<infer::DataQuality> CongestionService::QueryQuality(
     topo::LinkId link) const {
+  AwaitClose();
   runtime::MutexLock lock(mu_);
   const auto it = quality_.find(link);
   if (it == quality_.end()) return std::nullopt;
@@ -638,6 +763,7 @@ std::optional<infer::DataQuality> CongestionService::QueryQuality(
 }
 
 ServiceStats CongestionService::Stats() const {
+  AwaitClose();
   ServiceStats stats;
   stats.samples = samples_accepted_.load(std::memory_order_relaxed);
   stats.samples_late = samples_late_.load(std::memory_order_relaxed);
@@ -653,6 +779,7 @@ ServiceStats CongestionService::Stats() const {
 }
 
 std::string CongestionService::VerdictLogText() const {
+  AwaitClose();
   runtime::MutexLock lock(mu_);
   // Days closed in ascending order and links ascending within a day, so
   // (day, link) order is close order.
@@ -671,6 +798,7 @@ std::string CongestionService::VerdictLogText() const {
 }
 
 std::int64_t CongestionService::LastClosedDay() const {
+  AwaitClose();
   runtime::MutexLock lock(mu_);
   return last_closed_day_;
 }

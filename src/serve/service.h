@@ -13,29 +13,52 @@
 //                day d (the watermark advanced past it);
 //   live mode    PollClock() closes every day that ended before clock-now;
 //   end of stream FinishStream() closes through the watermark day itself.
-// All three funnel into the same CloseThrough: push an in-band kCloseDay
-// marker to every shard, make the day durable in the WAL (pending samples,
-// then the close marker and its fdatasync) while the shards finalize, wait
-// for each shard's acknowledgment, collect and merge the deposited
-// verdict rows and quality rows into the index. Publishing stores rows
-// only; VerdictLogText renders them as text when asked. A day's verdicts
-// therefore publish only after its marker is durable, and the close costs
-// the longer of the sync and the shards' finalize, not their sum. Submit
-// and the close path are single-producer (one thread — the daemon event
-// loop); queries may come from any thread.
+// All three, and WAL replay, funnel into the same CloseThrough, which runs
+// at most one close in flight. On the producer it (1) waits for the
+// previous close to finish, (2) pushes an in-band kCloseDay marker to every
+// shard, and (3) appends the pending samples and the day's WAL marker
+// without syncing it; then it hands the day to the closer thread and
+// returns. The closer (4) syncs the marker when the fsync policy asks for
+// it, (5) waits for every shard's acknowledgment, and (6) merges the
+// deposited verdict rows and quality rows into the index under mu_.
+// Publishing stores rows only; VerdictLogText renders them as text when
+// asked. So the batch that closes a day is acknowledged at the cost of an
+// ordinary submit (under kDayClose an ack means "written", as for every
+// other batch), the shards finalize while the marker syncs, and a day's
+// verdicts still publish only after its marker is durable.
+//
+// Failure: a day whose marker does not become durable never publishes. A
+// marker write that fails (ENOSPC) degrades on the producer and sheds the
+// closing batch; the closer then collects the shards' deposits for the day
+// but does not publish it. A marker sync that fails never publishes the
+// day either; the producer degrades at its next call, which sheds. A
+// degraded service closes no more days (PollClock and FinishStream close
+// nothing), so the published days end at the last durable one — no hole,
+// and a restart shows the same days.
+// Drain points: the producer waits for the close in flight before the next
+// day's markers, before a checkpoint commit, and in FinishStream (before
+// and after its closes), CloseWalClean, Stop and RecoverFromWal, and before
+// it abandons the WAL.
+// Read-your-writes: every query waits for the close in flight, so anything
+// ordered after the producer call that closed day d sees d. A fault hook
+// that queries from inside the closer's own sync does not wait for itself.
+// Submit and the close hand-off are single-producer (one thread — the
+// daemon event loop); queries may come from any thread.
 //
 // Bounded restart: the first day close after each WAL segment rotation is a
 // checkpoint close (serve/checkpoint.h). Its markers ask every shard to
 // write its pairs as it finalizes the day, so each part is the state
-// through the marker. Commit order: (1) the close marker is synced; (2) the
-// parts and the manifest are written and synced, the manifest renamed into
-// place and the directory synced — the commit; (3) the WAL rolls to a fresh
-// segment; (4) the covered segments and the previous checkpoint are
-// deleted. A crash at any step recovers byte-identically: an uncommitted
-// checkpoint is ignored (the segments it would cover are all still there),
-// and recovery deletes whatever a committed one covers. RecoverFromWal loads
-// the newest committed checkpoint and replays the segments that remain, so
-// a restart replays at most one segment plus one day whatever the uptime.
+// through the marker. The producer drains a checkpoint close right after
+// handing it off, then commits. Commit order: (1) the close marker is
+// synced; (2) the parts and the manifest are written and synced, the
+// manifest renamed into place and the directory synced — the commit; (3)
+// the WAL rolls to a fresh segment; (4) the covered segments and the
+// previous checkpoint are deleted. A crash at any step recovers
+// byte-identically: an uncommitted checkpoint is ignored (the segments it
+// would cover are all still there), and recovery deletes whatever a
+// committed one covers. RecoverFromWal loads the newest committed
+// checkpoint and replays the segments that remain, so a restart replays at
+// most one segment plus one day whatever the uptime.
 // A checkpoint that fails before step (2) completes is deleted whole and
 // tried again after the next rotation, not at the next close. The cadence
 // is wal_segment_bytes; there is no other knob.
@@ -48,6 +71,7 @@
 #include <optional>
 #include <string>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "infer/data_quality.h"
@@ -179,7 +203,8 @@ class CongestionService {
   // now. No-op without a clock.
   void PollClock();
   // Stream mode: closes through the watermark day (the newest day any
-  // submitted sample touched). Returns the last closed day.
+  // submitted sample touched) and waits for the last close to publish.
+  // Returns the last published day.
   std::int64_t FinishStream();
 
   // ---- queries (any thread) --------------------------------------------------
@@ -207,10 +232,36 @@ class CongestionService {
   // Hands every shard's staged run to its worker: once per Submit,
   // SubmitBatch and replayed WAL record, so no sample waits for a close.
   void PublishShards();
+  // One day close as the producer hands it to the closer.
+  struct CloseJob {
+    std::int64_t day = 0;
+    bool checkpoint = false;
+    bool publish = true;             // false: the marker was not written
+    const WalWriter* wal = nullptr;  // runs `sync`
+    WalSyncTicket sync;              // fd -1: nothing to sync
+  };
+  // Where the close hand-off stands (close_mu_).
+  enum class CloseState : std::uint8_t { kIdle, kHanded, kRunning, kExit };
+
   // Closes each day through target_day in order (see the header comment):
-  // markers out to the shards, WAL marker synced while they finalize, then
-  // collect and publish.
+  // drain the previous close, markers out to the shards, WAL marker
+  // written, then the day goes to the closer.
   void CloseThrough(std::int64_t target_day);
+  // Producer: gives `job` to the closer, spawning it at the first close.
+  void HandOffClose(CloseJob job);
+  // The closer thread: sync, collect, publish, one close at a time.
+  void CloserLoop();
+  // Producer: waits for the close in flight, if any; false when its marker
+  // sync failed. `parts` receives what a checkpoint close's shards wrote.
+  bool WaitClose(std::vector<CheckpointPart>* parts = nullptr);
+  // Producer: WaitClose, degrading when the marker sync failed.
+  void DrainClose();
+  // Producer: DrainClose if the close in flight has already finished.
+  void ReapClose();
+  // Producer: drains, then joins the closer.
+  void StopCloser();
+  // Queries: waits for the close in flight (not on the closer itself).
+  void AwaitClose() const;
   bool WalLive() const noexcept {
     return wal_ != nullptr && wal_->is_open() && !degraded_ && !replaying_;
   }
@@ -225,6 +276,7 @@ class CongestionService {
   // Appends the pending run of consumed samples as one WAL record.
   WalStatus FlushWalPending();
   // The ENOSPC ladder: drop the WAL, shed ingest, keep the query plane.
+  // Waits for the close in flight first: the closer may be syncing.
   void EnterDegraded();
 
   ServiceConfig config_;
@@ -252,12 +304,23 @@ class CongestionService {
   // Accepted since the last PublishShards, which moves them into
   // samples_accepted_ once per published run.
   std::uint64_t run_accepted_ = 0;
+  // A close was handed to the closer and not yet waited for.
+  bool close_handed_ = false;
   // The ingest counters: producer-written, read by Stats() from any thread.
   // Their own line, apart from the producer's plain fields and from the
   // query lock (see `same-line` in tools/manic_lint/layout.txt).
   alignas(64) std::atomic<std::uint64_t> samples_accepted_{0};
   std::atomic<std::uint64_t> samples_late_{0};
   std::atomic<std::uint64_t> samples_rejected_{0};
+
+  // The close hand-off (see the header comment), on its own line: the
+  // closer and the queries touch it, the producer at each close.
+  alignas(64) mutable runtime::Mutex close_mu_;
+  mutable runtime::CondVar close_cv_;
+  CloseState close_state_ GUARDED_BY(close_mu_) = CloseState::kIdle;
+  CloseJob close_job_ GUARDED_BY(close_mu_);
+  bool close_failed_ GUARDED_BY(close_mu_) = false;  // the last close's sync
+  std::vector<CheckpointPart> close_parts_ GUARDED_BY(close_mu_);
 
   alignas(64) mutable runtime::Mutex mu_;
   // Per link, its verdict rows in ascending day order.
@@ -266,6 +329,10 @@ class CongestionService {
   std::uint64_t verdict_rows_ GUARDED_BY(mu_) = 0;
   std::int64_t last_closed_day_ GUARDED_BY(mu_) = kNoDayClosed;
   std::int64_t days_closed_ GUARDED_BY(mu_) = 0;
+
+  // The closer thread, spawned at the first close and joined in Stop();
+  // declared after everything it uses.
+  std::thread closer_;
 };
 
 }  // namespace manic::serve

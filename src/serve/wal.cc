@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "serve/codec.h"
@@ -83,6 +84,23 @@ std::vector<std::pair<std::uint32_t, std::string>> ListSegments(
 
 }  // namespace
 
+WalSyncTicket::~WalSyncTicket() {
+  if (fd >= 0) ::close(fd);
+}
+
+WalSyncTicket::WalSyncTicket(WalSyncTicket&& other) noexcept
+    : fd(std::exchange(other.fd, -1)), dir(other.dir), op(other.op) {}
+
+WalSyncTicket& WalSyncTicket::operator=(WalSyncTicket&& other) noexcept {
+  if (this != &other) {
+    if (fd >= 0) ::close(fd);
+    fd = std::exchange(other.fd, -1);
+    dir = other.dir;
+    op = other.op;
+  }
+  return *this;
+}
+
 WalWriter::~WalWriter() { Abandon(); }
 
 WalStatus WalWriter::Open(const WalConfig& config) {
@@ -118,6 +136,7 @@ WalStatus WalWriter::OpenSegment() {
   ++segments_opened_;
   segment_written_ = 0;
   writeback_from_ = 0;
+  dir_synced_ = false;
   return WriteAll(kMagic, kMagicLen);
 }
 
@@ -156,7 +175,8 @@ WalStatus WalWriter::WriteAll(const char* data, std::size_t len) {
   return WalStatus::kOk;
 }
 
-WalStatus WalWriter::AppendFrame(std::string_view frame, bool day_close) {
+WalStatus WalWriter::AppendFrame(std::string_view frame,
+                                 WalSyncTicket* deferred) {
   if (fd_ < 0) return WalStatus::kIoError;
   if (config_.fault_hook != nullptr) {
     const std::int64_t crash = config_.fault_hook->CrashBytesAt(records_);
@@ -173,8 +193,10 @@ WalStatus WalWriter::AppendFrame(std::string_view frame, bool day_close) {
   if (written != WalStatus::kOk) return written;
   ++records_;
   segment_written_ += frame.size();
-  if (config_.fsync == WalFsync::kEveryAppend ||
-      (day_close && config_.fsync == WalFsync::kDayClose)) {
+  if (deferred != nullptr && config_.fsync != WalFsync::kNone) {
+    const WalStatus taken = TakeTicket(deferred);
+    if (taken != WalStatus::kOk) return taken;
+  } else if (config_.fsync == WalFsync::kEveryAppend) {
     const WalStatus synced = FsyncNow();
     if (synced != WalStatus::kOk) return synced;
   } else if (config_.fsync == WalFsync::kDayClose &&
@@ -203,15 +225,38 @@ WalStatus WalWriter::AppendSamples(std::span<const Sample> samples) {
   // once the high-water batch size has been seen.
   frame_buf_.clear();
   EncodeSubmitBatchTo(samples, &frame_buf_);
-  return AppendFrame(frame_buf_, false);
+  return AppendFrame(frame_buf_, nullptr);
 }
 
 WalStatus WalWriter::AppendClose(std::int64_t day) {
+  WalSyncTicket ticket;
+  const WalStatus status = AppendCloseDeferred(day, &ticket);
+  return status == WalStatus::kOk ? SyncDeferred(ticket) : status;
+}
+
+WalStatus WalWriter::AppendCloseDeferred(std::int64_t day,
+                                         WalSyncTicket* ticket) {
+  *ticket = WalSyncTicket{};
   frame_buf_.clear();
   EncodeFlushAckTo(day, &frame_buf_);
-  return AppendFrame(frame_buf_, true);
+  return AppendFrame(frame_buf_, ticket);
 }
 // manic-lint: hot-path(end)
+
+// The marker's sync, taken now and run by the ticket's holder: the seam
+// indices are reserved in append order, and everything appended so far
+// counts as synced for the writeback cursor, as after FsyncNow.
+WalStatus WalWriter::TakeTicket(WalSyncTicket* ticket) {
+  ticket->fd = ::fcntl(fd_, F_DUPFD_CLOEXEC, 0);
+  if (ticket->fd < 0) return WalStatus::kIoError;
+  ticket->dir = !dir_synced_;
+  ticket->op = fsync_ops_;
+  fsync_ops_ += ticket->dir ? 2 : 1;
+  if (ticket->dir) ++dir_syncs_;
+  dir_synced_ = true;
+  writeback_from_ = segment_written_;
+  return WalStatus::kOk;
+}
 
 WalStatus WalWriter::FsyncNow() {
   if (config_.fault_hook != nullptr &&
@@ -225,7 +270,37 @@ WalStatus WalWriter::FsyncNow() {
     return errno == ENOSPC ? WalStatus::kNoSpace : WalStatus::kIoError;
   }
   writeback_from_ = segment_written_;
-  return WalStatus::kOk;
+  if (dir_synced_ || config_.fsync == WalFsync::kNone) return WalStatus::kOk;
+  dir_synced_ = true;
+  ++dir_syncs_;
+  return SyncDir(fsync_ops_++);
+}
+
+WalStatus WalWriter::SyncDir(std::uint64_t op) const {
+  if (config_.fault_hook != nullptr && !config_.fault_hook->FsyncOkAt(op)) {
+    return WalStatus::kIoError;
+  }
+  const int dir_fd =
+      ::open(config_.dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return WalStatus::kIoError;
+  const int rc = ::fsync(dir_fd);
+  ::close(dir_fd);
+  return rc == 0 ? WalStatus::kOk : WalStatus::kIoError;
+}
+
+WalStatus WalWriter::SyncDeferred(WalSyncTicket& ticket) const {
+  if (ticket.fd < 0) return WalStatus::kOk;
+  WalStatus status = WalStatus::kOk;
+  if (config_.fault_hook != nullptr &&
+      !config_.fault_hook->FsyncOkAt(ticket.op)) {
+    status = WalStatus::kIoError;
+  } else if (::fdatasync(ticket.fd) != 0) {
+    status = errno == ENOSPC ? WalStatus::kNoSpace : WalStatus::kIoError;
+  }
+  ::close(ticket.fd);
+  ticket.fd = -1;
+  if (status == WalStatus::kOk && ticket.dir) status = SyncDir(ticket.op + 1);
+  return status;
 }
 
 WalStatus WalWriter::Sync() {

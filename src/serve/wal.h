@@ -32,6 +32,20 @@
 // reconnecting client (RetryingClient + kGetWatermark) resubmits exactly the
 // un-acked suffix.
 //
+// A segment file is created by open(O_CREAT), and POSIX makes its directory
+// entry durable only with an fsync of the directory. So under kDayClose and
+// kEveryAppend the first durability sync in each segment — the first
+// marker's, the first record's, or the seal in Roll/CloseClean, whichever
+// comes first — also fsyncs the directory (counted in dir_syncs()). Open
+// and Roll never sync by themselves, so restart and rotation pay nothing
+// up front.
+//
+// The service appends a day-close marker with AppendCloseDeferred, which
+// writes the marker and hands back its sync as a WalSyncTicket instead of
+// running it; the service's closer thread runs the ticket (SyncDeferred),
+// so the batch that closed the day is acknowledged once the marker is
+// written.
+//
 // All file writes funnel through one fault-aware write loop: an installed
 // runtime::IoFaultHook can inject short writes, EINTR, ENOSPC, fsync failure,
 // and mid-record crash points — the seam tools/crashloop and the WAL tests
@@ -81,6 +95,24 @@ struct WalRecordHeader {
   static constexpr std::uint64_t kEncodedSize = 5;
 };
 
+// A day-close marker's durability point, taken by AppendCloseDeferred and
+// run by WalWriter::SyncDeferred on any thread. The descriptor is a dup of
+// the segment's, so the writer may roll or close its own while the ticket
+// is out; the fault seam's op indices were taken in append order. Owns the
+// dup: move-only, closed by SyncDeferred or the destructor.
+struct [[nodiscard]] WalSyncTicket {
+  WalSyncTicket() = default;
+  ~WalSyncTicket();
+  WalSyncTicket(WalSyncTicket&& other) noexcept;
+  WalSyncTicket& operator=(WalSyncTicket&& other) noexcept;
+  WalSyncTicket(const WalSyncTicket&) = delete;
+  WalSyncTicket& operator=(const WalSyncTicket&) = delete;
+
+  int fd = -1;           // -1: nothing to sync (WalFsync::kNone)
+  bool dir = false;      // the segment's first sync: fsync the directory too
+  std::uint64_t op = 0;  // FsyncOkAt index of the file sync; the dir's is +1
+};
+
 struct [[nodiscard]] WalRecoverStats {
   std::uint64_t segments = 0;   // segment files replayed
   std::uint64_t records = 0;    // complete records replayed
@@ -117,8 +149,16 @@ class WalWriter {
   // One kSubmitBatch record for the run of consumed samples. No-op for an
   // empty span.
   WalStatus AppendSamples(std::span<const Sample> samples);
-  // One kFlushAck day-close marker; fsyncs under WalFsync::kDayClose.
+  // One kFlushAck day-close marker; fsyncs unless the policy is kNone
+  // (AppendCloseDeferred, then SyncDeferred on this thread).
   WalStatus AppendClose(std::int64_t day);
+  // AppendClose that leaves the marker's sync to the caller: on kOk,
+  // *ticket holds it (fd -1 under kNone). Whoever holds the ticket must run
+  // it with SyncDeferred, which also closes its descriptor.
+  WalStatus AppendCloseDeferred(std::int64_t day, WalSyncTicket* ticket);
+  // Runs a ticket. Safe on another thread while the owner appends, rolls
+  // or abandons: it reads only the ticket and the config set at Open.
+  WalStatus SyncDeferred(WalSyncTicket& ticket) const;
 
   // Forces everything appended so far to the platter, regardless of policy.
   WalStatus Sync();
@@ -137,12 +177,20 @@ class WalWriter {
   std::uint64_t segments_opened() const noexcept { return segments_opened_; }
   // Writeback hints sent (kDayClose only; see the header comment).
   std::uint64_t writeback_hints() const noexcept { return writeback_hints_; }
+  // Directory syncs taken: one per segment, never under kNone. A deferred
+  // one counts when its ticket is taken.
+  std::uint64_t dir_syncs() const noexcept { return dir_syncs_; }
 
  private:
-  WalStatus AppendFrame(std::string_view frame, bool day_close);
+  // `deferred` non-null: a day-close marker whose sync goes to the ticket.
+  WalStatus AppendFrame(std::string_view frame, WalSyncTicket* deferred);
   WalStatus WriteAll(const char* data, std::size_t len);
   WalStatus OpenSegment();
   WalStatus FsyncNow();
+  // The marker's sync for AppendCloseDeferred (see WalSyncTicket).
+  WalStatus TakeTicket(WalSyncTicket* ticket);
+  // The fsync of the directory, behind FsyncOkAt(op).
+  WalStatus SyncDir(std::uint64_t op) const;
 
   WalConfig config_;
   int fd_ = -1;
@@ -156,6 +204,10 @@ class WalWriter {
   // writeback hint covers [writeback_from_, segment_written_).
   std::size_t writeback_from_ = 0;
   std::uint64_t writeback_hints_ = 0;
+  // The open segment's first durability sync has been taken (see the
+  // header comment); reset by OpenSegment.
+  bool dir_synced_ = false;
+  std::uint64_t dir_syncs_ = 0;
   std::string frame_buf_;            // reused per-append encode buffer
 };
 

@@ -3,19 +3,27 @@
 // markers, torn-tail truncation at EVERY byte boundary of the last record
 // (mid-header and mid-payload), recovery idempotence (a crash during
 // recovery loses nothing — the double-crash case), ENOSPC-mid-append
-// degradation and the shed contract, watermark-driven deduplication, and
-// the deterministic I/O fault script itself.
+// degradation and the shed contract, watermark-driven deduplication, the
+// pipelined day close (the closing batch returns while the closer syncs
+// its marker; a failed marker sync never publishes), per-segment directory
+// syncs, and the deterministic I/O fault script itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,7 +220,8 @@ std::map<std::string, std::string> SegmentFiles(const std::string& dir) {
 
 // The writeback hint under kDayClose is only a hint: the same appends leave
 // the same segment bytes under every policy, the fault seams see exactly
-// one write per magic and per record and one fsync per durability point,
+// one write per magic and per record and one fsync per durability point
+// (each segment's directory sync is one, except under kNone),
 // and the hints fire once per kWalWritebackBytes between syncs — never
 // under kNone or kEveryAppend. The days are ~4 KiB records, more than
 // 256 KiB a day, and the segment rolls after every second day's marker, so
@@ -269,7 +278,10 @@ TEST(WalWriter, WritebackHintsLeaveBytesAndFaultSeamsUnchanged) {
         policy == WalFsync::kNone       ? 0
         : policy == WalFsync::kDayClose ? kDays
                                         : kRecords;
-    EXPECT_EQ(hook.fsyncs, policy_syncs + kRolls + 1);
+    const std::uint64_t dir_syncs =
+        policy == WalFsync::kNone ? 0 : writer.segments_opened();
+    EXPECT_EQ(writer.dir_syncs(), dir_syncs);
+    EXPECT_EQ(hook.fsyncs, policy_syncs + kRolls + 1 + dir_syncs);
     EXPECT_EQ(writer.writeback_hints(),
               policy == WalFsync::kDayClose ? kDays * hints_per_day : 0u);
 
@@ -280,6 +292,93 @@ TEST(WalWriter, WritebackHintsLeaveBytesAndFaultSeamsUnchanged) {
     } else {
       EXPECT_TRUE(bytes == first_bytes);
     }
+  }
+}
+
+// A new segment's directory entry becomes durable with the segment's first
+// durability sync, whichever it is: the first record's under kEveryAppend,
+// the first marker's under kDayClose (inline or deferred to a ticket), or
+// the seal when a segment rolls before any. One per opened segment, across
+// rolls; never under kNone, whose seals and clean close still fsync.
+TEST(WalWriter, DirectorySyncsOncePerSegmentAndNeverUnderNone) {
+  for (const WalFsync policy :
+       {WalFsync::kNone, WalFsync::kDayClose, WalFsync::kEveryAppend}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    const bool none = policy == WalFsync::kNone;
+    const bool every = policy == WalFsync::kEveryAppend;
+    WalDir dir("dir_syncs");
+    RecordingIoHook hook;
+    WalConfig config;
+    config.dir = dir.path;
+    config.fsync = policy;
+    config.fault_hook = &hook;
+    WalWriter writer;
+    ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+    EXPECT_EQ(writer.dir_syncs(), 0u);  // Open syncs nothing
+    EXPECT_EQ(hook.fsyncs, 0u);
+
+    // Segment 1: a record, then two markers.
+    ASSERT_EQ(writer.AppendSamples(SmallBatch(1, 4)), WalStatus::kOk);
+    EXPECT_EQ(writer.dir_syncs(), every ? 1u : 0u);
+    ASSERT_EQ(writer.AppendClose(1), WalStatus::kOk);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : 1u);
+    ASSERT_EQ(writer.AppendClose(2), WalStatus::kOk);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : 1u);
+
+    // Segment 2: no marker before the roll, so the seal is under kDayClose
+    // its first sync.
+    ASSERT_EQ(writer.Roll(), WalStatus::kOk);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : 1u);
+    ASSERT_EQ(writer.AppendSamples(SmallBatch(3, 4)), WalStatus::kOk);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : every ? 2u : 1u);
+    ASSERT_EQ(writer.Roll(), WalStatus::kOk);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : 2u);
+
+    // Segment 3: a deferred marker carries the directory sync in its ticket.
+    WalSyncTicket ticket;
+    ASSERT_EQ(writer.AppendCloseDeferred(3, &ticket), WalStatus::kOk);
+    EXPECT_EQ(ticket.fd < 0, none);
+    EXPECT_EQ(ticket.dir, !none);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : 3u);
+    ASSERT_EQ(writer.SyncDeferred(ticket), WalStatus::kOk);
+    EXPECT_EQ(ticket.fd, -1);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : 3u);
+    ASSERT_EQ(writer.CloseClean(), WalStatus::kOk);
+
+    EXPECT_EQ(writer.segments_opened(), 3u);
+    EXPECT_EQ(writer.dir_syncs(), none ? 0u : writer.segments_opened());
+    // Every sync went through the seam: under kNone only the two seals and
+    // the clean close.
+    if (none) {
+      EXPECT_EQ(hook.fsyncs, 3u);
+    }
+  }
+}
+
+// A failed ticket sync surfaces, and so does a failed directory sync: the
+// fault seam numbers the file's sync and then the directory's.
+TEST(WalWriter, DeferredSyncFailuresSurface) {
+  for (const std::int64_t fail_at : {0, 1}) {
+    SCOPED_TRACE(fail_at);
+    WalDir dir("deferred_fail");
+    runtime::ScriptedIoFaults::Config fault_config;
+    fault_config.fail_fsync_at = fail_at;
+    runtime::ScriptedIoFaults faults(fault_config);
+    WalConfig config;
+    config.dir = dir.path;
+    config.fault_hook = &faults;
+    WalWriter writer;
+    ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+    WalSyncTicket ticket;
+    ASSERT_EQ(writer.AppendCloseDeferred(1, &ticket), WalStatus::kOk);
+    EXPECT_EQ(ticket.op, 0u);
+    EXPECT_TRUE(ticket.dir);
+    EXPECT_EQ(writer.SyncDeferred(ticket), WalStatus::kIoError);
+    // The next marker's sync is numbered after both.
+    ASSERT_EQ(writer.AppendCloseDeferred(2, &ticket), WalStatus::kOk);
+    EXPECT_EQ(ticket.op, 2u);
+    EXPECT_FALSE(ticket.dir);
+    EXPECT_EQ(writer.SyncDeferred(ticket), WalStatus::kOk);
   }
 }
 
@@ -659,20 +758,25 @@ TEST(ServiceWal, CrashRecoveryMatchesUncrashedRunByteForByte) {
   }
 }
 
-// Snapshots what the service has published at every fsync. Under
-// kDayClose with the default segment size, the syncs before CloseWalClean
-// are exactly the day-close markers, in day order.
+// Snapshots what the service has published at every fsync but the
+// directory's. Under kDayClose with the default segment size, the syncs
+// before CloseWalClean are exactly the day-close markers, in day order,
+// plus the directory's as op 1, right after the first marker's. The hook
+// runs on the service's closer thread, inside the sync of the close in
+// flight.
 class PublishedAtSync final : public runtime::IoFaultHook {
  public:
-  bool FsyncOkAt(std::uint64_t /*op*/) const override {
-    if (service != nullptr) {
-      closed.push_back(service->LastClosedDay());
-      logs.push_back(service->VerdictLogText());
+  static constexpr std::uint64_t kDirSyncOp = 1;
+  bool FsyncOkAt(std::uint64_t op) const override {
+    const CongestionService* svc = service.load(std::memory_order_acquire);
+    if (svc != nullptr && op != kDirSyncOp) {
+      closed.push_back(svc->LastClosedDay());
+      logs.push_back(svc->VerdictLogText());
     }
     return true;
   }
-  const CongestionService* service = nullptr;
-  mutable std::vector<std::int64_t> closed;
+  alignas(64) std::atomic<const CongestionService*> service{nullptr};
+  alignas(64) mutable std::vector<std::int64_t> closed;
   mutable std::vector<std::string> logs;
 };
 
@@ -713,7 +817,7 @@ TEST(ServiceWal, DayIsNotPublishedBeforeItsMarkerSyncs) {
     config.wal_fault_hook = &hook;
     CongestionService service(config);
     ASSERT_TRUE(service.RecoverFromWal().ok);
-    hook.service = &service;
+    hook.service.store(&service, std::memory_order_release);
     for (std::size_t offset = 0; offset < stream.size(); offset += 37) {
       const std::size_t n = std::min<std::size_t>(37, stream.size() - offset);
       ASSERT_EQ(service
@@ -723,8 +827,9 @@ TEST(ServiceWal, DayIsNotPublishedBeforeItsMarkerSyncs) {
                 n);
     }
     EXPECT_EQ(service.FinishStream(), kDays - 1);
-    hook.service = nullptr;
+    // The query waits for the last close, so its sync has been recorded.
     const std::string log = service.VerdictLogText();
+    hook.service.store(nullptr, std::memory_order_release);
     ASSERT_EQ(hook.closed.size(), static_cast<std::size_t>(kDays));
     for (std::int64_t day = 0; day < kDays; ++day) {
       const auto i = static_cast<std::size_t>(day);
@@ -735,6 +840,302 @@ TEST(ServiceWal, DayIsNotPublishedBeforeItsMarkerSyncs) {
     }
     // Non-vacuous: verdicts published between two marker syncs.
     EXPECT_FALSE(hook.logs.back().empty()) << "shards " << shards;
+    EXPECT_EQ(service.CloseWalClean(), WalStatus::kOk);
+    service.Stop();
+  }
+}
+
+// One day's samples for links 1-4 (far and near, every slot).
+std::vector<Sample> DaySamples(std::int64_t day) {
+  std::vector<Sample> samples;
+  for (topo::LinkId link = 1; link <= 4; ++link) {
+    for (int slot = 0; slot < 24; ++slot) {
+      samples.push_back(MakeSample(day, slot, link));
+      samples.push_back(MakeSample(day, slot, link, 1, SampleKind::kNearRtt));
+    }
+  }
+  return samples;
+}
+
+// The verdict log of days [0, days) of the DaySamples stream, without a WAL.
+std::string DaysReferenceLog(std::int64_t days) {
+  ServiceConfig plain;
+  plain.engine.autocorr = SmallConfig();
+  CongestionService reference(plain);
+  reference.Start();
+  for (std::int64_t day = 0; day < days; ++day) {
+    EXPECT_EQ(reference.SubmitBatch(DaySamples(day)).shed, 0u);
+  }
+  reference.FinishStream();
+  std::string log = reference.VerdictLogText();
+  reference.Stop();
+  return log;
+}
+
+std::size_t Lines(const std::string& text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+// Under kDayClose with the default segment size, the fsync ops of a fresh
+// log are: day 0's marker, the directory, then one marker per day.
+constexpr std::uint64_t MarkerSyncOp(std::int64_t day) {
+  return day == 0 ? 0 : static_cast<std::uint64_t>(day) + 1;
+}
+
+// The marker sync of a day close fails on the closer. The closing batch's
+// ack stands (it was written), the day is never published, the producer's
+// next call sheds, queries keep answering from a consistent state, and a
+// restart recovers what the log holds — the marker was written, so the day.
+TEST(ServiceWal, FailedDayCloseSyncNeverPublishesTheDay) {
+  // The first verdicts come at day 5, when SmallConfig's window fills.
+  constexpr std::int64_t kFailedDay = 7;
+  const std::string want = DaysReferenceLog(kFailedDay + 3);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    WalDir dir("failed_close_sync");
+    runtime::ScriptedIoFaults::Config fault_config;
+    fault_config.fail_fsync_at =
+        static_cast<std::int64_t>(MarkerSyncOp(kFailedDay));
+    runtime::ScriptedIoFaults faults(fault_config);
+    ServiceConfig config = WalServiceConfig(dir.path, shards);
+    config.wal_fsync = WalFsync::kDayClose;
+    config.wal_fault_hook = &faults;
+    std::uint64_t consumed = 0;
+    {
+      CongestionService service(config);
+      ASSERT_TRUE(service.RecoverFromWal().ok);
+      // Days 0..kFailedDay+1: the last batch closes kFailedDay.
+      for (std::int64_t day = 0; day <= kFailedDay + 1; ++day) {
+        const std::vector<Sample> batch = DaySamples(day);
+        const SubmitSummary summary = service.SubmitBatch(batch);
+        EXPECT_EQ(summary.accepted, batch.size()) << "day " << day;
+        consumed += batch.size();
+      }
+      EXPECT_FALSE(service.degraded());  // not yet: the closer's news waits
+      // Queries wait for the failed close and show the days before it.
+      EXPECT_EQ(service.LastClosedDay(), kFailedDay - 1);
+      const std::string published = service.VerdictLogText();
+      EXPECT_EQ(published, LogBeforeDay(want, kFailedDay));
+      ASSERT_FALSE(published.empty());
+      const ServiceStats stats = service.Stats();
+      EXPECT_EQ(stats.last_closed_day, kFailedDay - 1);
+      EXPECT_EQ(stats.days_closed, kFailedDay);
+      EXPECT_EQ(stats.verdicts, Lines(published));
+      EXPECT_EQ(stats.samples, consumed);
+      EXPECT_TRUE(service.QueryRange(1, kFailedDay * stats::kSecPerDay,
+                                     (kFailedDay + 1) * stats::kSecPerDay)
+                      .empty());
+
+      // The producer's next call sheds, whole.
+      const std::vector<Sample> next = DaySamples(kFailedDay + 2);
+      const SubmitSummary shed = service.SubmitBatch(next);
+      EXPECT_EQ(shed.accepted, 0u);
+      EXPECT_EQ(shed.shed, next.size());
+      EXPECT_TRUE(service.degraded());
+      EXPECT_TRUE(service.Watermark().degraded);
+      EXPECT_EQ(service.Watermark().samples_consumed, consumed);
+      // A degraded service closes no more days: the accepted kFailedDay + 1
+      // samples would otherwise publish that day with a hole before it.
+      EXPECT_EQ(service.FinishStream(), kFailedDay - 1);
+      EXPECT_EQ(service.LastClosedDay(), kFailedDay - 1);
+      // The close walk stopped at the failed day: no later markers went out.
+      EXPECT_EQ(service.Watermark().last_closed_day, kFailedDay);
+
+      // Still answering, and still consistent.
+      EXPECT_EQ(service.VerdictLogText(), published);
+      const std::optional<VerdictRecord> point =
+          service.QueryPoint(1, (kFailedDay + 2) * stats::kSecPerDay);
+      ASSERT_TRUE(point.has_value());
+      EXPECT_EQ(point->day, kFailedDay - 1);
+      const ServiceStats after = service.Stats();
+      EXPECT_EQ(after.verdicts, stats.verdicts);
+      EXPECT_EQ(after.samples, consumed);
+      EXPECT_EQ(after.last_closed_day, kFailedDay - 1);
+      EXPECT_EQ(after.days_closed, kFailedDay);
+      EXPECT_EQ(service.CloseWalClean(), WalStatus::kIoError);
+      service.Stop();
+    }
+    // Restart without faults: the written marker and the acked batch come
+    // back, so the failed day publishes now.
+    CongestionService recovered(WalServiceConfig(dir.path, shards));
+    const WalRecoverStats stats = recovered.RecoverFromWal();
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_EQ(stats.samples, consumed);
+    EXPECT_EQ(stats.closes, static_cast<std::uint64_t>(kFailedDay + 1));
+    EXPECT_EQ(recovered.Watermark().samples_consumed, consumed);
+    EXPECT_EQ(recovered.LastClosedDay(), kFailedDay);
+    EXPECT_EQ(recovered.VerdictLogText(), LogBeforeDay(want, kFailedDay + 1));
+    recovered.Stop();
+  }
+}
+
+// ENOSPC at each write of a day stream in turn — a sample record, a day
+// close's pending-sample flush or its marker: the service publishes only
+// days whose marker reached the log, and closes none once degraded, so
+// what it answers live is exactly what a restart recovers.
+TEST(ServiceWal, EnospcAtAnyWritePublishesOnlyWhatRecovers) {
+  constexpr std::int64_t kDays = 9;
+  std::vector<Sample> stream;
+  for (std::int64_t day = 0; day < kDays; ++day) {
+    const std::vector<Sample> samples = DaySamples(day);
+    stream.insert(stream.end(), samples.begin(), samples.end());
+  }
+  for (const int shards : {1, 4}) {
+    std::set<std::int64_t> published_through;
+    bool degraded = true;
+    // Op 0 is the segment magic; the sweep ends at the first op past the
+    // stream's last write.
+    for (std::int64_t op = 1; degraded; ++op) {
+      ASSERT_LT(op, 200) << "the wall never missed";
+      SCOPED_TRACE(testing::Message() << "shards " << shards << " op " << op);
+      WalDir dir("enospc_sweep");
+      runtime::ScriptedIoFaults::Config fault_config;
+      fault_config.enospc_at_op = op;
+      runtime::ScriptedIoFaults faults(fault_config);
+      ServiceConfig config = WalServiceConfig(dir.path, shards);
+      config.wal_fault_hook = &faults;
+      std::int64_t live_day = kNoDayClosed;
+      std::string live_log;
+      {
+        CongestionService service(config);
+        ASSERT_TRUE(service.RecoverFromWal().ok);
+        // Batches of 37 straddle the days, so closes land mid-batch with
+        // samples pending ahead of the marker.
+        for (std::size_t at = 0; at < stream.size(); at += 37) {
+          const std::size_t n = std::min<std::size_t>(37, stream.size() - at);
+          (void)service.SubmitBatch(
+              std::span<const Sample>(stream.data() + at, n));
+        }
+        live_day = service.FinishStream();
+        degraded = service.degraded();
+        EXPECT_EQ(service.LastClosedDay(), live_day);
+        EXPECT_EQ(service.Stats().days_closed,
+                  live_day == kNoDayClosed ? 0 : live_day + 1);
+        live_log = service.VerdictLogText();
+        service.Stop();
+      }
+      CongestionService recovered(WalServiceConfig(dir.path, shards));
+      ASSERT_TRUE(recovered.RecoverFromWal().ok);
+      EXPECT_EQ(recovered.LastClosedDay(), live_day);
+      EXPECT_EQ(recovered.VerdictLogText(), live_log);
+      recovered.Stop();
+      published_through.insert(live_day);
+    }
+    // Non-vacuous: the wall struck before every day's close in turn.
+    EXPECT_EQ(published_through.size(), static_cast<std::size_t>(kDays + 1))
+        << "shards " << shards;
+  }
+}
+
+// Holds the closer inside chosen fsyncs until the test releases them. A
+// hold that is never released gives up after a deadline and says so, so a
+// producer that waits for the sync fails the test instead of hanging it.
+class HeldSyncs final : public runtime::IoFaultHook {
+ public:
+  explicit HeldSyncs(std::vector<std::uint64_t> held) : held_(std::move(held)) {}
+  bool FsyncOkAt(std::uint64_t op) const override {
+    if (std::find(held_.begin(), held_.end(), op) == held_.end()) return true;
+    std::unique_lock<std::mutex> lock(mu_);
+    inside_ = static_cast<std::int64_t>(op);
+    cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(10), [&] {
+          return released_ >= static_cast<std::int64_t>(op);
+        })) {
+      timed_out_ = true;
+    }
+    inside_ = -1;
+    return true;
+  }
+  // True once the closer sits inside sync `op` (waits up to 10 s).
+  bool WaitInside(std::uint64_t op) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10), [&] {
+      return inside_ == static_cast<std::int64_t>(op);
+    });
+  }
+  bool Inside(std::uint64_t op) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inside_ == static_cast<std::int64_t>(op);
+  }
+  void Release(std::uint64_t op) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = static_cast<std::int64_t>(op);
+    cv_.notify_all();
+  }
+  bool timed_out() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
+  }
+
+ private:
+  const std::vector<std::uint64_t> held_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::int64_t inside_ = -1;
+  mutable std::int64_t released_ = -1;
+  mutable bool timed_out_ = false;
+};
+
+// The day close is pipelined: the batch that closes day d returns while
+// d's marker is still syncing on the closer, and d publishes only after
+// that sync. A query on another thread blocks until the sync is let go and
+// then sees d; producer-thread queries right after the closing batch
+// returns see d too (read-your-writes), waiting for the sync if they must.
+TEST(ServiceWal, ClosingBatchReturnsWhileItsMarkerSyncs) {
+  // Verdicts start at day 5 (SmallConfig's window), so day kHeld has rows.
+  constexpr std::int64_t kHeld = 6;
+  constexpr std::int64_t kDays = kHeld + 3;
+  const std::string want = DaysReferenceLog(kDays);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    WalDir dir("pipelined_close");
+    HeldSyncs hook({MarkerSyncOp(kHeld), MarkerSyncOp(kHeld + 1)});
+    ServiceConfig config = WalServiceConfig(dir.path, shards);
+    config.wal_fsync = WalFsync::kDayClose;
+    config.wal_fault_hook = &hook;
+    CongestionService service(config);
+    ASSERT_TRUE(service.RecoverFromWal().ok);
+    for (std::int64_t day = 0; day <= kHeld; ++day) {
+      ASSERT_EQ(service.SubmitBatch(DaySamples(day)).shed, 0u);
+    }
+    // The next batch closes day kHeld, whose marker sync the hook holds.
+    const std::vector<Sample> closing = DaySamples(kHeld + 1);
+    EXPECT_EQ(service.SubmitBatch(closing).accepted, closing.size());
+    ASSERT_TRUE(hook.WaitInside(MarkerSyncOp(kHeld)));
+    EXPECT_FALSE(hook.timed_out()) << "the closing batch waited for the sync";
+    std::future<std::int64_t> reader = std::async(
+        std::launch::async, [&service] { return service.LastClosedDay(); });
+    EXPECT_EQ(reader.wait_for(std::chrono::milliseconds(100)),
+              std::future_status::timeout)
+        << "a query returned while the close was still syncing";
+    EXPECT_TRUE(hook.Inside(MarkerSyncOp(kHeld)));
+    hook.Release(MarkerSyncOp(kHeld));
+    EXPECT_EQ(reader.get(), kHeld);
+
+    // The next batch closes kHeld + 1; a helper lets its sync go a little
+    // later, so the producer's own queries below find the close in flight.
+    const std::vector<Sample> next = DaySamples(kHeld + 2);
+    EXPECT_EQ(service.SubmitBatch(next).accepted, next.size());
+    EXPECT_FALSE(hook.timed_out());
+    std::thread releaser([&hook] {
+      if (hook.WaitInside(MarkerSyncOp(kHeld + 1))) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      hook.Release(MarkerSyncOp(kHeld + 1));
+    });
+    EXPECT_EQ(service.LastClosedDay(), kHeld + 1);
+    EXPECT_EQ(service.VerdictLogText(), LogBeforeDay(want, kHeld + 2));
+    const std::vector<VerdictRecord> rows =
+        service.QueryRange(1, (kHeld + 1) * stats::kSecPerDay,
+                           (kHeld + 2) * stats::kSecPerDay);
+    EXPECT_EQ(rows.size(), 1u);
+    if (!rows.empty()) {
+      EXPECT_EQ(rows[0].day, kHeld + 1);
+    }
+    releaser.join();
+    EXPECT_FALSE(hook.timed_out());
+    EXPECT_EQ(service.FinishStream(), kDays - 1);
+    EXPECT_EQ(service.VerdictLogText(), want);
     EXPECT_EQ(service.CloseWalClean(), WalStatus::kOk);
     service.Stop();
   }
