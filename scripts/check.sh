@@ -17,13 +17,16 @@
 #      mid-stream and torn WAL appends — restarts and recovers each time,
 #      at 1 and at 4 ingest shards; every recovered verdict log must be
 #      byte-identical to the uncrashed reference, and the two references
-#      must match each other; then again with 4 KiB WAL segments so the
+#      must match each other; then again with 1170-byte WAL segments (4 KiB
+#      of v1 records, scaled by 2/7 as the default segment is) so the
 #      daemon checkpoints and retires segments, half the kills landing
 #      inside a checkpoint), and bench/perf_gate (full workload, best-of-3
 #      reps) with the WAL on (the BENCH json must be produced and well-formed, and
 #      scripts/perf_compare.sh must find it within 20% of the newest
 #      committed BENCH_*.json baseline on ingest rate and p99 query
-#      latency — durability priced in);
+#      latency — durability priced in), then perfbench/smoke_test.py (the
+#      perfbench harness at its tiny size: every declared metric reported,
+#      its correctness checks not vacuous, its generators deterministic);
 #   5. sanitizer builds: ThreadSanitizer (-DMANIC_SANITIZE=thread) rerunning
 #      the runtime + driver tests with MANIC_THREADS=4, the SPSC ring's own
 #      tests (staged runs, wrap-around, runs longer than the ring against a
@@ -112,7 +115,7 @@ if ! diff -u "$OUT_DIR/chaos_t1.txt" "$OUT_DIR/chaos_tN.txt"; then
 fi
 echo "faulted study stdout byte-identical at 1 and $THREADS threads."
 
-stage "[4/6] serving plane: daemon smoke, replay determinism, perf gate"
+stage "[4/6] serving plane: daemon smoke, replay determinism, perf gate, perfbench smoke"
 ./build/examples/example_serve_quickstart > "$OUT_DIR/serve_quickstart.txt" \
   2> "$OUT_DIR/serve_quickstart.err"
 grep -q "recurring=1 congested=1" "$OUT_DIR/serve_quickstart.txt" || {
@@ -152,16 +155,18 @@ if ! cmp -s "$OUT_DIR/crashloop_s1/reference.log" \
   exit 1
 fi
 echo "crash-recovery gate OK: 10 seeded kills survived at 1 and 4 shards, recovered logs byte-identical."
-# The same gate with 4 KiB WAL segments: the daemon checkpoints and retires
+# The same gate with 1170-byte WAL segments (4 KiB of fixed-width v1
+# records, scaled by 2/7 with the record; at 4096 bytes half the planned
+# checkpoint kills find no checkpoint to land in): the daemon checkpoints and retires
 # segments at nearly every day close, and half the kills die inside a
 # checkpoint (manifest half written; committed, WAL not rolled; rolled,
 # covered segments not yet deleted). Recovery must stay byte-identical, and
 # the checkpointing reference must equal the checkpoint-free one.
 rm -rf "$OUT_DIR/crashloop_ckpt_s1" "$OUT_DIR/crashloop_ckpt_s4"
 ./build/tools/crashloop --out-dir "$OUT_DIR/crashloop_ckpt_s1" --shards 1 \
-  --kills 10 --seed 7 --segment-bytes 4096
+  --kills 10 --seed 7 --segment-bytes 1170
 ./build/tools/crashloop --out-dir "$OUT_DIR/crashloop_ckpt_s4" --shards 4 \
-  --kills 10 --seed 7 --segment-bytes 4096
+  --kills 10 --seed 7 --segment-bytes 1170
 for ref in "$OUT_DIR/crashloop_ckpt_s1/reference.log" \
            "$OUT_DIR/crashloop_ckpt_s4/reference.log"; do
   if ! cmp -s "$OUT_DIR/crashloop_s1/reference.log" "$ref"; then
@@ -180,6 +185,10 @@ grep -q '"samples_per_sec"' "$OUT_DIR/BENCH_check.json" || {
   echo "FAIL: perf_gate json missing ingest rate" >&2; exit 1; }
 scripts/perf_compare.sh "$OUT_DIR/BENCH_check.json"
 echo "perf gate OK (report: $OUT_DIR/BENCH_check.json)."
+# The benchmark harness itself, at its tiny size (builds its own
+# .bench_build/ from this checkout).
+python3 perfbench/smoke_test.py
+echo "perfbench smoke OK."
 
 stage "[5/6] sanitizer builds: TSan runtime/driver/ring/service/WAL tests + serve chaos study, UBSan full suite"
 cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
@@ -206,7 +215,7 @@ echo "TSan crashloop OK (2 seeded kills, recover + drain under the race detector
 # while the closer syncs it, and recovery restores them, under TSan.
 rm -rf "$OUT_DIR/tsan_crashloop_ckpt"
 ./build-tsan/tools/crashloop --out-dir "$OUT_DIR/tsan_crashloop_ckpt" \
-  --shards 4 --kills 4 --seed 3 --segment-bytes 4096
+  --shards 4 --kills 4 --seed 3 --segment-bytes 1170
 echo "TSan checkpoint crashloop OK (4 seeded kills, checkpoints under the race detector)."
 if [ "${MANIC_CHECK_SKIP_UBSAN:-0}" != "1" ]; then
   cmake -B build-ubsan -S . -DMANIC_SANITIZE=undefined >/dev/null

@@ -62,13 +62,29 @@ bool ValidMsgType(std::uint8_t raw) {
   return false;
 }
 
-// Bytes of one encoded Sample (pinned: `wire Sample` in layout.txt).
-constexpr std::size_t kWireSampleBytes = 21;
+// One encoded Sample in a kSubmitBatch payload (see codec.h) is a tag byte,
+// then only the fields the tag flags. Tag bits:
+constexpr std::uint8_t kTagKindMask = 0x07;  // bits 0-2: the SampleKind
+constexpr std::uint8_t kTagKey = 0x08;       // [u32 link][u32 vp] follows
+constexpr std::uint8_t kTagValue = 0x10;     // [f32 value bits] follow
+constexpr std::uint8_t kTagSameT = 0x20;     // t equals the previous t
+constexpr std::uint8_t kTagUnused = 0xC0;    // must be zero
+static_assert(kMaxSampleKind <= kTagKindMask);
+// The record stores t as 64 bits and link, vp and the value bits as 32:
+// widening a Sample field without a format bump does not compile.
+static_assert(sizeof(Sample::t) == 8 && sizeof(Sample::link) == 4 &&
+              sizeof(Sample::vp) == 4 && sizeof(Sample::value) == 4);
+// A varint of a u64 takes at most 10 bytes; the tenth holds bit 63 only.
+constexpr std::size_t kMaxVarintBytes = 10;
+// The widest encoded Sample: tag, key, the widest t delta, value.
+constexpr std::size_t kMaxWireSampleBytes =
+    1 + sizeof(Sample::link) + sizeof(Sample::vp) + kMaxVarintBytes +
+    sizeof(Sample::value);
 
 // Writes `word` little-endian at *dst and advances the cursor in place.
-// The raw-pointer form exists for EncodeSubmitBatchTo, where the frame
-// size is known up front and per-sample string appends dominate the WAL
-// flush cost.
+// The raw-pointer form exists for EncodeSubmitBatchTo, where the frame's
+// worst case is sized up front and per-sample string appends dominate the
+// WAL flush cost.
 template <typename U>
 void StoreLE(char** dst, U word) {
   char* raw = *dst;
@@ -77,6 +93,47 @@ void StoreLE(char** dst, U word) {
   }
   *dst = raw + sizeof(U);
 }
+
+// LEB128: seven bits a byte, low group first, high bit = more follows.
+void StoreVarint(char** dst, std::uint64_t v) {
+  char* raw = *dst;
+  while (v >= 0x80) {
+    *raw++ = static_cast<char>((v & 0x7F) | 0x80);
+    v >>= 7;
+  }
+  *raw++ = static_cast<char>(v);
+  *dst = raw;
+}
+
+// Reads the varint StoreVarint writes, and only that: at most 10 bytes, no
+// bit past 63, no zero final byte after the first (a longer spelling of a
+// shorter value). False on any of those or on running out of bytes.
+bool LoadVarint(const unsigned char** src, const unsigned char* end,
+                std::uint64_t* v) {
+  const unsigned char* p = *src;
+  std::uint64_t acc = 0;
+  for (unsigned shift = 0; shift < 7 * kMaxVarintBytes; shift += 7) {
+    if (p == end) return false;
+    const unsigned char byte = *p++;
+    if (shift == 63 && byte > 1) return false;
+    acc |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift != 0) return false;
+      *src = p;
+      *v = acc;
+      return true;
+    }
+  }
+  return false;  // unreachable: the tenth byte has no continuation bit
+}
+
+// Zigzag maps a two's-complement delta to an unsigned one whose size
+// tracks its magnitude (0, -1, 1, -2 -> 0, 1, 2, 3). Both directions work
+// modulo 2^64, so any pair of int64 timestamps round-trips.
+std::uint64_t ZigZag(std::uint64_t delta) {
+  return (delta << 1) ^ (0 - (delta >> 63));
+}
+std::uint64_t UnZigZag(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
 
 void PutVerdict(Encoder* e, const VerdictRecord& v) {
   e->PutI64(v.day);
@@ -267,64 +324,112 @@ std::string EncodeSubmitBatch(std::span<const Sample> samples) {
   return frame;
 }
 
-void EncodeSubmitBatchTo(std::span<const Sample> samples, std::string* out) {
-  // Samples encode at a fixed width, so the whole frame is sized up front
-  // and filled through one raw cursor: this runs for every WAL flush, and
-  // growth-checked per-field appends are most of the encode cost.
-  const auto count = static_cast<std::uint32_t>(samples.size());
+std::size_t EncodeSubmitBatchTo(std::span<const Sample> samples,
+                                std::string* out, std::size_t max_payload) {
+  // The worst case is sized up front and filled through one raw cursor
+  // (this runs for every WAL flush, and growth-checked per-field appends
+  // were most of the encode cost), then trimmed to what was written. A
+  // sample that takes the payload past max_payload is written into the
+  // slack and then dropped.
+  const std::size_t widest = 4 + kMaxWireSampleBytes * samples.size();
+  const std::size_t room =
+      widest <= max_payload ? widest : max_payload + kMaxWireSampleBytes;
   const std::size_t base = out->size();
-  out->resize(base + 4 + 1 + 4 + kWireSampleBytes * count);
-  char* cursor = out->data() + base;
-  StoreLE(&cursor, static_cast<std::uint32_t>(1 + 4 + kWireSampleBytes * count));
-  *cursor++ = static_cast<char>(MsgType::kSubmitBatch);
-  StoreLE(&cursor, count);
+  out->resize(base + 5 + room);
+  char* const payload = out->data() + base + 5;
+  char* cursor = payload + 4;
+  std::uint64_t prev_t = 0;
+  topo::LinkId prev_link = 0;
+  topo::VpId prev_vp = 0;
+  std::size_t encoded = 0;
   for (const Sample& s : samples) {
-    StoreLE(&cursor, static_cast<std::uint64_t>(s.t));
-    StoreLE(&cursor, s.link);
-    StoreLE(&cursor, s.vp);
+    char* const start = cursor;
+    const std::uint64_t delta = static_cast<std::uint64_t>(s.t) - prev_t;
+    const auto bits = std::bit_cast<std::uint32_t>(s.value);
+    const bool key = s.link != prev_link || s.vp != prev_vp;
+    unsigned flags = 0;
+    if (key) flags |= kTagKey;
+    if (bits != 0) flags |= kTagValue;
+    if (delta == 0) flags |= kTagSameT;
     // Encode side: `s` is a locally built Sample (kind is a validated
     // enum), not bytes off the wire.
     // manic-lint: allow(trust)
-    *cursor++ = static_cast<char>(static_cast<std::uint8_t>(s.kind));
-    StoreLE(&cursor, std::bit_cast<std::uint32_t>(s.value));
+    *cursor++ = static_cast<char>(flags | static_cast<std::uint8_t>(s.kind));
+    if (key) {
+      StoreLE(&cursor, s.link);
+      StoreLE(&cursor, s.vp);
+    }
+    if (delta != 0) StoreVarint(&cursor, ZigZag(delta));
+    if (bits != 0) StoreLE(&cursor, bits);
+    if (static_cast<std::size_t>(cursor - payload) > max_payload) {
+      cursor = start;
+      break;
+    }
+    prev_t = static_cast<std::uint64_t>(s.t);
+    prev_link = s.link;
+    prev_vp = s.vp;
+    ++encoded;
   }
+  const auto payload_bytes = static_cast<std::size_t>(cursor - payload);
+  out->resize(base + 5 + payload_bytes);
+  char* header = out->data() + base;
+  StoreLE(&header, static_cast<std::uint32_t>(1 + payload_bytes));
+  *header++ = static_cast<char>(MsgType::kSubmitBatch);
+  StoreLE(&header, static_cast<std::uint32_t>(encoded));
+  return encoded;
 }
-
-// Field offsets inside one encoded Sample, [i64 t][u32 link][u32 vp]
-// [u8 kind][f32 value]. Each assert ties an offset to the width of the
-// field before it, so widening a Sample field without a format bump does
-// not compile.
-constexpr std::size_t kSampleLinkAt = 8;
-constexpr std::size_t kSampleVpAt = 12;
-constexpr std::size_t kSampleKindAt = 16;
-constexpr std::size_t kSampleValueAt = 17;
-static_assert(sizeof(Sample::t) == kSampleLinkAt);
-static_assert(kSampleLinkAt + sizeof(Sample::link) == kSampleVpAt);
-static_assert(kSampleVpAt + sizeof(Sample::vp) == kSampleKindAt);
-static_assert(kSampleKindAt + sizeof(Sample::kind) == kSampleValueAt);
-static_assert(kSampleValueAt + sizeof(Sample::value) == kWireSampleBytes);
 
 bool DecodeSubmitBatch(std::string_view payload, std::vector<Sample>* out) {
   if (payload.size() < 4) return false;
   const std::uint32_t count = GetLE<std::uint32_t>(payload.data());
-  // Samples encode at a fixed width: the count must account for every
-  // payload byte, so each record below is read by offset, unchecked.
-  if (payload.size() - 4 != static_cast<std::size_t>(count) * kWireSampleBytes) {
-    return false;
-  }
+  // Every sample takes at least its tag byte, so the bytes left bound the
+  // count before it sizes anything.
+  if (count > payload.size() - 4) return false;
   out->resize(count);
-  const char* record = payload.data() + 4;
+  const auto* p = reinterpret_cast<const unsigned char*>(payload.data()) + 4;
+  const auto* const end =
+      reinterpret_cast<const unsigned char*>(payload.data()) + payload.size();
+  // Running state, summed in uint64_t: a hostile delta wraps, never
+  // overflows.
+  std::uint64_t t = 0;
+  topo::LinkId link = 0;
+  topo::VpId vp = 0;
   for (Sample& s : *out) {
-    const auto kind = static_cast<std::uint8_t>(record[kSampleKindAt]);
-    if (kind > kMaxSampleKind) return false;
-    s.t = static_cast<TimeSec>(GetLE<std::uint64_t>(record));
-    s.link = GetLE<std::uint32_t>(record + kSampleLinkAt);
-    s.vp = GetLE<std::uint32_t>(record + kSampleVpAt);
+    if (p == end) return false;
+    const unsigned char tag = *p++;
+    const unsigned kind = tag & kTagKindMask;
+    if ((tag & kTagUnused) != 0 || kind > kMaxSampleKind) return false;
+    if ((tag & kTagKey) != 0) {
+      if (end - p < 8) return false;
+      const std::uint32_t new_link = GetLE<std::uint32_t>(p);
+      const std::uint32_t new_vp = GetLE<std::uint32_t>(p + 4);
+      p += 8;
+      // Canonical form: the key is written only when it changes.
+      if (new_link == link && new_vp == vp) return false;
+      link = new_link;
+      vp = new_vp;
+    }
+    if ((tag & kTagSameT) == 0) {
+      std::uint64_t z = 0;
+      // A zero delta has exactly one spelling: the same-t flag.
+      if (!LoadVarint(&p, end, &z) || z == 0) return false;
+      t += UnZigZag(z);
+    }
+    std::uint32_t bits = 0;
+    if ((tag & kTagValue) != 0) {
+      if (end - p < 4) return false;
+      bits = GetLE<std::uint32_t>(p);
+      p += 4;
+      // Zero bits have exactly one spelling: no value flag.
+      if (bits == 0) return false;
+    }
+    s.t = static_cast<TimeSec>(t);
+    s.link = link;
+    s.vp = vp;
     s.kind = static_cast<SampleKind>(kind);
-    s.value = std::bit_cast<float>(GetLE<std::uint32_t>(record + kSampleValueAt));
-    record += kWireSampleBytes;
+    s.value = std::bit_cast<float>(bits);
   }
-  return true;
+  return p == end;
 }
 
 std::string EncodeSubmitAck(std::uint64_t accepted) {

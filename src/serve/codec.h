@@ -1,4 +1,4 @@
-// Wire format v1 of the serving plane: a compact length-prefixed binary
+// Wire format v2 of the serving plane: a compact length-prefixed binary
 // protocol (the jittertrap jt_messages shape, binary instead of JSON). Every
 // frame is
 //
@@ -11,9 +11,15 @@
 //
 // Doubles and floats travel as IEEE-754 bit patterns (bit_cast), so a value
 // round-trips bit-exactly — the replay contract extends to recorded streams.
+//
+// v2 changed only the kSubmitBatch payload, from a fixed 21 bytes a sample
+// to the compact record below (about 6 bytes a sample on a pair-day batch);
+// a v1 peer is refused at hello.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -26,15 +32,27 @@
 
 namespace manic::serve {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
-// Generous bound for a submit batch (~160k samples); anything larger is
-// treated as a corrupt or hostile stream.
+inline constexpr std::uint32_t kProtocolVersion = 2;
+// Generous bound for a submit batch (at least 182k samples of the widest
+// encoding, ~690k pair-day samples); anything larger is treated as a
+// corrupt or hostile stream.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 22;
 
 enum class MsgType : std::uint8_t {
   // client -> server
   kHello = 1,         // u32 protocol version
-  kSubmitBatch = 3,   // u32 count, count * Sample
+  // u32 count, then per sample a tag byte and the fields it flags:
+  //   tag bits 0-2 kind, bit 3 "a new (link, vp) follows", bit 4 "value
+  //   follows", bit 5 "same t as the previous sample", bits 6-7 zero;
+  //   [u32 link][u32 vp] only when the key differs from the previous one;
+  //   a zigzag varint (LEB128, at most 10 bytes) of t - previous t unless
+  //   the tag says same t; the f32 value bits unless they are zero.
+  // "Previous" starts at t = 0, link = 0, vp = 0. The form is canonical:
+  // the decoder rejects a key flag that repeats the key, a varint delta of
+  // zero or a padded varint, a value flag on zero bits, set unused bits, a
+  // kind past kMaxSampleKind, truncation and trailing bytes — so decode then
+  // encode reproduces a payload byte for byte.
+  kSubmitBatch = 3,
   kQueryPoint = 5,    // u32 link, i64 t
   kQueryRange = 6,    // u32 link, i64 t0, i64 t1
   kQueryQuality = 7,  // u32 link
@@ -147,7 +165,7 @@ struct FrameView {
   std::size_t size = 0;
 };
 
-// The one implementation of v1 framing, shared by the stream assembler and
+// The one implementation of framing, shared by the stream assembler and
 // WAL recovery. The length is judged as soon as its 4 bytes are present;
 // the type byte only once the whole frame is, so a frame cut short reads
 // as kNeedMore whatever its type byte holds.
@@ -186,8 +204,13 @@ bool DecodeHelloAck(std::string_view payload, std::uint32_t* version,
 std::string EncodeSubmitBatch(std::span<const Sample> samples);
 // Appends the frame to *out instead of allocating a fresh string — the WAL
 // appender reuses one buffer across appends to keep the ingest path
-// allocation-free in steady state.
-void EncodeSubmitBatchTo(std::span<const Sample> samples, std::string* out);
+// allocation-free in steady state. Encodes the longest prefix of `samples`
+// whose payload fits max_payload bytes and returns its length: every
+// sample unless a bound is given (the WAL passes kMaxFramePayload and
+// writes the rest as further records).
+std::size_t EncodeSubmitBatchTo(
+    std::span<const Sample> samples, std::string* out,
+    std::size_t max_payload = std::numeric_limits<std::size_t>::max());
 bool DecodeSubmitBatch(std::string_view payload, std::vector<Sample>* out);
 std::string EncodeSubmitAck(std::uint64_t accepted);
 bool DecodeSubmitAck(std::string_view payload, std::uint64_t* accepted);

@@ -118,10 +118,8 @@ void TcpDaemon::HandleReadable(Conn* conn) {
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      std::string replies;
       const bool keep = conn->session.Consume(
-          std::string_view(buf, static_cast<std::size_t>(n)), &replies);
-      conn->outbox.append(replies);
+          std::string_view(buf, static_cast<std::size_t>(n)), &conn->outbox);
       if (!keep) {
         conn->closing = true;
         return;
@@ -333,13 +331,15 @@ bool BlockingClient::Submit(std::span<const Sample> samples) {
     last_error_ = ClientError::kClosed;
     return false;
   }
-  if (!SendAll(EncodeSubmitBatch(samples))) return false;
+  frame_buf_.clear();
+  EncodeSubmitBatchTo(samples, &frame_buf_);
+  if (!SendAll(frame_buf_)) return false;
   MsgType type;
-  std::string payload;
-  if (!ReadFrame(&type, &payload)) return false;
-  if (type != MsgType::kSubmitAck) return FailOnReply(type, payload);
+  if (!ReadFrame(&type, &payload_buf_)) return false;
+  if (type != MsgType::kSubmitAck) return FailOnReply(type, payload_buf_);
   std::uint64_t accepted = 0;
-  if (!DecodeSubmitAck(payload, &accepted) || accepted != samples.size()) {
+  if (!DecodeSubmitAck(payload_buf_, &accepted) ||
+      accepted != samples.size()) {
     last_error_ = ClientError::kProtocol;
     return false;
   }

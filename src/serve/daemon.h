@@ -135,6 +135,9 @@ class BlockingClient {
   bool FailOnReply(MsgType type, std::string_view payload);
 
   FrameAssembler assembler_;
+  // Submit's request frame and reply payload, reused call over call.
+  std::string frame_buf_;
+  std::string payload_buf_;
   int fd_ = -1;
   std::uint32_t server_shards_ = 0;
   std::uint32_t timeout_ms_ = 0;

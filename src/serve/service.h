@@ -132,7 +132,7 @@ struct ServiceConfig {
   // kNone also skips the checkpoint syncs (the page cache is trusted).
   WalFsync wal_fsync = WalFsync::kDayClose;
   // Segment size, and so the checkpoint cadence (see the header comment).
-  std::size_t wal_segment_bytes = 64u << 20;
+  std::size_t wal_segment_bytes = kWalDefaultSegmentBytes;
   // Fault-injection seam behind the WAL's file writes; null = no faults.
   runtime::IoFaultHook* wal_fault_hook = nullptr;
 };

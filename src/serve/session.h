@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "serve/codec.h"
 #include "serve/service.h"
@@ -47,6 +48,10 @@ class Session {
 
   CongestionService* service_ = nullptr;
   FrameAssembler assembler_;
+  // Reused frame by frame, so a steady submit stream allocates nothing per
+  // request once the largest batch has been seen.
+  std::string payload_;
+  std::vector<Sample> samples_;
   bool hello_done_ = false;
   bool dead_ = false;
   std::uint64_t frames_ = 0;

@@ -19,8 +19,10 @@
 namespace manic::serve {
 namespace {
 
-constexpr char kMagic[] = "MANICWAL1\n";
+// The magic names the record format: "MANICWAL" and a format digit.
+constexpr char kMagic[] = "MANICWAL2\n";
 constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
+constexpr std::size_t kMagicFamilyLen = 8;  // "MANICWAL"
 constexpr char kCleanMarker[] = "wal-clean";
 
 std::string SegmentName(std::uint32_t index) {
@@ -202,7 +204,7 @@ WalStatus WalWriter::AppendFrame(std::string_view frame,
   } else if (config_.fsync == WalFsync::kDayClose &&
              segment_written_ - writeback_from_ >= kWalWritebackBytes) {
     // Start writeback of the day's bytes so far, so the close marker's
-    // fdatasync waits only for the tail. A hint, once per 256 KiB: it does
+    // fdatasync waits only for the tail. A hint, once per ~73 KiB: it does
     // not wait for the writeback, moves no byte and no durability point, and
     // a failure here resurfaces from that fdatasync.
     // manic-lint: allow(hot-path)
@@ -214,18 +216,29 @@ WalStatus WalWriter::AppendFrame(std::string_view frame,
     ++writeback_hints_;
   }
   // Seal the full segment (its bytes must outlive the rotation) and roll to
-  // the next — a cold, once-per-64MiB branch.
+  // the next — a cold, once-per-segment branch.
   if (segment_written_ >= config_.segment_bytes) return Roll();
   return WalStatus::kOk;
 }
 
 WalStatus WalWriter::AppendSamples(std::span<const Sample> samples) {
-  if (samples.empty()) return WalStatus::kOk;
-  // frame_buf_ is reused append over append: amortized to zero allocation
-  // once the high-water batch size has been seen.
-  frame_buf_.clear();
-  EncodeSubmitBatchTo(samples, &frame_buf_);
-  return AppendFrame(frame_buf_, nullptr);
+  // A record larger than kMaxFramePayload would read as corrupt framing and
+  // fail the whole recovery, so a run is written as the records that fit.
+  // Only an in-process SubmitBatch can need more than one: a run off the
+  // wire is a subset of one decoded frame, and a subset re-encodes no
+  // larger (each dropped sample's key, delta and tag bytes cover whatever
+  // its successor pays more).
+  while (!samples.empty()) {
+    // frame_buf_ is reused append over append: amortized to zero
+    // allocation once the high-water batch size has been seen.
+    frame_buf_.clear();
+    const std::size_t encoded =
+        EncodeSubmitBatchTo(samples, &frame_buf_, kMaxFramePayload);
+    const WalStatus status = AppendFrame(frame_buf_, nullptr);
+    if (status != WalStatus::kOk) return status;
+    samples = samples.subspan(encoded);
+  }
+  return WalStatus::kOk;
 }
 
 WalStatus WalWriter::AppendClose(std::int64_t day) {
@@ -430,7 +443,14 @@ SegmentEnd ReplaySegment(
     if (!magic_seen) {
       if (end < kMagicLen) continue;
       if (std::memcmp(buf, kMagic, kMagicLen) != 0) {
-        stats->error = "bad magic in wal segment " + path;
+        // Another format's log is named, not parsed: its records would read
+        // as damage, or as a torn tail to chop.
+        stats->error =
+            std::memcmp(buf, kMagic, kMagicFamilyLen) == 0
+                ? "wal segment " + path + " is format " +
+                      std::string(buf, kMagicLen - 1) + "; this build reads " +
+                      std::string(kMagic, kMagicLen - 1)
+                : "bad magic in wal segment " + path;
         return SegmentEnd::kFailed;
       }
       magic_seen = true;

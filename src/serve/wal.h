@@ -1,9 +1,10 @@
 // Durable write-ahead log for the serving plane. Every admitted sample and
-// every day close is appended as a v1 codec frame — kSubmitBatch for runs of
-// consumed samples, kFlushAck (payload: the closed day) as the day-close
+// every day close is appended as a codec frame — kSubmitBatch for runs of
+// consumed samples (the compact v2 record, split so no frame passes
+// kMaxFramePayload), kFlushAck (payload: the closed day) as the day-close
 // marker — to an append-only segment log under one directory:
 //
-//   wal-000001.seg   [magic "MANICWAL1\n"] [frame] [frame] ...
+//   wal-000001.seg   [magic "MANICWAL2\n"] [frame] [frame] ...
 //   wal-000002.seg   ...
 //   wal-clean        present only after a graceful CloseClean()
 //   ckpt-NNNNNN      a committed service checkpoint (serve/checkpoint.h):
@@ -16,6 +17,9 @@
 // Each daemon incarnation appends to a fresh segment, so a crash can tear at
 // most the tail of the newest segment; ReadWal chops that torn tail off the
 // file (the CheckpointLog idiom) and replays every complete record in order.
+// The magic names the record format: a segment of another format (a
+// MANICWAL1 log of fixed 21-byte samples) fails recovery with an error that
+// names it, and is never read or truncated.
 // Because the record stream IS the admitted-sample stream, replaying it
 // through the same submit path rebuilds the service byte-identically — the
 // recovered verdict log equals an uncrashed run's at any shard count.
@@ -64,13 +68,21 @@
 
 namespace manic::serve {
 
+// The default segment size. A segment's record bytes set the checkpoint
+// cadence (serve/service.h), so the size follows the record format to keep
+// that cadence per sample: a study pair-day batch encodes to 2/7 of its
+// fixed-width v1 bytes (1,171 B against 4,041), so 64 MiB x 2/7 holds the
+// samples 64 MiB of v1 records did. The same rule scales kWalWritebackBytes.
+inline constexpr std::size_t kWalDefaultSegmentBytes =
+    (std::size_t{64} << 20) * 2 / 7;
+
 // When the log forces bytes to the platter. See the header comment.
 enum class WalFsync : std::uint8_t { kNone, kDayClose, kEveryAppend };
 
 struct WalConfig {
   std::string dir;
   // A segment rotates once it holds at least this many record bytes.
-  std::size_t segment_bytes = 64u << 20;
+  std::size_t segment_bytes = kWalDefaultSegmentBytes;
   WalFsync fsync = WalFsync::kDayClose;
   // Fault-injection seam; null = no faults.
   runtime::IoFaultHook* fault_hook = nullptr;
@@ -84,7 +96,7 @@ enum class [[nodiscard]] WalStatus : std::uint8_t {
   kIoError,
 };
 
-// The fixed prefix of one on-disk WAL record — the v1 frame header, [u32
+// The fixed prefix of one on-disk WAL record — the frame header, [u32
 // length][u8 type], length counting the type byte plus the payload. Pinned
 // in tools/manic_lint/layout.txt (wire-abi): widening it would orphan every
 // existing log, so the pin forces a deliberate format bump instead.
@@ -146,8 +158,9 @@ class WalWriter {
   // Number of the segment appends land in.
   std::uint32_t segment_index() const noexcept { return next_segment_ - 1; }
 
-  // One kSubmitBatch record for the run of consumed samples. No-op for an
-  // empty span.
+  // kSubmitBatch records for the run of consumed samples: one, unless its
+  // encoding passes kMaxFramePayload, when it is split into as many
+  // records as fit. No-op for an empty span.
   WalStatus AppendSamples(std::span<const Sample> samples);
   // One kFlushAck day-close marker; fsyncs unless the policy is kNone
   // (AppendCloseDeferred, then SyncDeferred on this thread).
@@ -230,11 +243,14 @@ std::uint64_t RetireCovered(const std::string& dir, std::uint32_t first_live,
 // the largest legal frame (kMaxFramePayload) whatever the segment size.
 inline constexpr std::size_t kWalReadChunkBytes = std::size_t{1} << 20;
 
-// Record bytes between writeback hints under WalFsync::kDayClose. Large
-// enough that the writeback it starts does not interfere with the acks that
-// follow (64 KiB hints cut the close as much but raised the ingest tail),
-// small enough that a 620 KiB day leaves only its tail to the close's sync.
-inline constexpr std::size_t kWalWritebackBytes = std::size_t{256} << 10;
+// Record bytes between writeback hints under WalFsync::kDayClose, scaled
+// with kWalDefaultSegmentBytes so a hint still covers the same samples.
+// Large enough that the writeback it starts does not interfere with the
+// acks that follow (64 KiB of v1 records a hint cut the close as much but
+// raised the ingest tail), small enough that a ~180 KB day of 154 pair-day
+// batches gets two hints and leaves only its tail to the close's sync.
+inline constexpr std::size_t kWalWritebackBytes =
+    (std::size_t{256} << 10) * 2 / 7;
 
 // Replays every complete record under `dir` in order: runs of samples to
 // `on_samples`, day-close markers to `on_close`. Each segment streams

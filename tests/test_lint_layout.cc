@@ -480,8 +480,9 @@ TEST(LayoutTree, ShrunkBudgetFiresOnTheRealTree) {
 }
 
 TEST(LayoutTree, ExtendedWirePinFiresOnTheRealTree) {
-  // Anti-vacuity for the wire pass: extend the committed Sample pin by one
-  // phantom field and the real serve::Sample must diverge loudly.
+  // Anti-vacuity for the wire pass: extend the committed VerdictRecord pin
+  // by one phantom field and the real serve::VerdictRecord must diverge
+  // loudly.
   const std::string root(MANIC_SOURCE_DIR);
   std::string layout_error;
   LayoutSpec layout = LoadLayoutSpec(
@@ -489,12 +490,12 @@ TEST(LayoutTree, ExtendedWirePinFiresOnTheRealTree) {
   ASSERT_TRUE(layout.loaded) << layout_error;
   bool pinned = false;
   for (LayoutSpec::WireStruct& w : layout.wire) {
-    if (w.name.find("Sample") == std::string::npos) continue;
+    if (w.name != "VerdictRecord") continue;
     w.groups.push_back({{"bogus_tail_"}, 4});
     w.total += 4;
     pinned = true;
   }
-  ASSERT_TRUE(pinned) << "layout.txt no longer pins a Sample wire struct";
+  ASSERT_TRUE(pinned) << "layout.txt no longer pins VerdictRecord";
   const TreeAnalysis analysis = AnalyzeTree(
       {root + "/src"}, nullptr, nullptr, nullptr, nullptr, &layout);
   ASSERT_FALSE(analysis.read_failure);

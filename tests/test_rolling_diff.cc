@@ -666,7 +666,9 @@ TEST(CheckpointDifferential, RestartsMatchAFullReplayAtAnyShardCount) {
     c.shards = shards;
     c.wal_dir = root + "/" + name;
     c.wal_fsync = serve::WalFsync::kNone;  // the crash model is a kill
-    if (small) c.wal_segment_bytes = 24 << 10;
+    // 24 KiB of fixed-width v1 records, scaled as kWalDefaultSegmentBytes
+    // is, so a segment holds the same samples.
+    if (small) c.wal_segment_bytes = (24 << 10) * 2 / 7;
     return c;
   };
   constexpr int kPhases = 7;

@@ -394,15 +394,14 @@ TEST(Codec, RejectsMalformedPayloads) {
   Encoder e;
   e.PutU32(1000);
   EXPECT_FALSE(DecodeSubmitBatch(e.data(), &samples));
-  // Out-of-range sample kind.
-  Encoder bad;
-  bad.PutU32(1);
-  bad.PutI64(0);
-  bad.PutU32(1);
-  bad.PutU32(1);
-  bad.PutU8(250);  // invalid kind
-  bad.PutF32(1.0f);
-  EXPECT_FALSE(DecodeSubmitBatch(bad.data(), &samples));
+  // Out-of-range sample kind: a tag with kind 5 (same t, no key or value),
+  // and a tag with its unused high bits set.
+  for (const std::uint8_t tag : {0x25, 250}) {
+    Encoder bad;
+    bad.PutU32(1);
+    bad.PutU8(tag);
+    EXPECT_FALSE(DecodeSubmitBatch(bad.data(), &samples));
+  }
 }
 
 TEST(Codec, EncodeErrorClampsOversizedMessage) {
@@ -1120,6 +1119,31 @@ TEST(Session, RejectsQueryBeforeHello) {
   EXPECT_EQ(code, kErrUnexpected);
   // A dead session stays dead.
   EXPECT_FALSE(session.Consume(EncodeHello(), &out));
+}
+
+// v2 changed the submit record, so a v1 peer is refused at hello: its
+// fixed-width batches would otherwise read as malformed (or, worse, as
+// different samples).
+TEST(Session, V1HelloIsRefusedWithBadVersion) {
+  CongestionService service(SmallServiceConfig(1));
+  Session session(&service);
+  Encoder hello;
+  hello.PutU32(1);
+  std::string out;
+  EXPECT_FALSE(
+      session.Consume(EncodeFrame(MsgType::kHello, hello.data()), &out));
+  EXPECT_FALSE(session.hello_done());
+  FrameAssembler replies;
+  replies.Feed(out);
+  MsgType type;
+  std::string payload;
+  ASSERT_TRUE(replies.Next(&type, &payload));
+  EXPECT_EQ(type, MsgType::kError);
+  std::uint16_t code = 0;
+  std::string message;
+  ASSERT_TRUE(DecodeError(payload, &code, &message));
+  EXPECT_EQ(code, kErrBadVersion);
+  EXPECT_EQ(kProtocolVersion, 2u);
 }
 
 TEST(Session, RejectsGarbageBytes) {

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -500,12 +501,53 @@ TEST(WalRecovery, ForeignFrameTypeIsAnError) {
   fs::create_directories(dir.path);
   {
     std::ofstream out(dir.path + "/wal-000001.seg", std::ios::binary);
-    out << "MANICWAL1\n" << EncodeQueryStats();  // not a WAL record type
+    out << "MANICWAL2\n" << EncodeQueryStats();  // not a WAL record type
   }
   const WalRecoverStats stats =
       ReadWal(dir.path, [](std::span<const Sample>) {}, [](std::int64_t) {});
   EXPECT_FALSE(stats.ok);
   EXPECT_NE(stats.error.find("foreign frame"), std::string::npos);
+}
+
+// A segment of the fixed-width v1 format (MANICWAL1) fails recovery with an
+// error that names both formats; it is neither read with the v2 decoder
+// nor chopped as a torn tail, and no fresh segment is opened past it.
+TEST(WalRecovery, V1SegmentFailsRecoveryNamingTheFormat) {
+  WalDir dir("v1_segment");
+  fs::create_directories(dir.path);
+  std::string v1 = "MANICWAL1\n";
+  {
+    Encoder batch;  // [u32 count] then [i64 t][u32 link][u32 vp][u8 kind][f32]
+    batch.PutU32(2);
+    for (const Sample& s : SmallBatch(3, 2)) {
+      batch.PutI64(s.t);
+      batch.PutU32(s.link);
+      batch.PutU32(s.vp);
+      batch.PutU8(static_cast<std::uint8_t>(s.kind));
+      batch.PutF32(s.value);
+    }
+    v1 += EncodeFrame(MsgType::kSubmitBatch, batch.data());
+    v1 += EncodeFlushAck(3);
+    v1 += EncodeFrame(MsgType::kSubmitBatch, batch.data()).substr(0, 20);
+  }
+  const std::string segment = dir.path + "/wal-000001.seg";
+  {
+    std::ofstream out(segment, std::ios::binary);
+    out << v1;
+  }
+  CongestionService service(WalServiceConfig(dir.path));
+  const WalRecoverStats stats = service.RecoverFromWal();
+  EXPECT_FALSE(stats.ok);
+  EXPECT_NE(stats.error.find("MANICWAL1"), std::string::npos) << stats.error;
+  EXPECT_NE(stats.error.find("MANICWAL2"), std::string::npos) << stats.error;
+  EXPECT_EQ(stats.records, 0u);
+  EXPECT_EQ(stats.truncated_bytes, 0u);
+  std::ifstream in(segment, std::ios::binary);
+  EXPECT_EQ(std::string((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>()),
+            v1);
+  EXPECT_EQ(SegmentFiles(dir.path).size(), 1u);
+  service.Stop();
 }
 
 TEST(WalRecovery, ShortFinalSegmentIsRemovedNotFatal) {
@@ -574,9 +616,11 @@ TEST(WalRecovery, ReadErrorFailsRecoveryWithoutTruncating) {
 // chunk end over to the next read. Records are laid out so chunk ends fall
 // inside a length field, between the length field and the type byte,
 // exactly after a header, and through a frame several chunks long (the
-// largest submit batch a frame can carry); the replayed stream must be the
+// largest submit batch a frame can carry, then one sample more, which the
+// writer splits into two records); the replayed stream must be the
 // appended one, bit for bit. Cutting the file inside that long frame must
-// then chop exactly the torn frame off.
+// then chop exactly the torn frame off. Record sizes are measured with the
+// encoder, as records are variable-width.
 TEST(WalRecovery, RecordsStraddlingChunkBoundariesReplayIdentically) {
   struct Record {
     bool close = false;
@@ -584,9 +628,23 @@ TEST(WalRecovery, RecordsStraddlingChunkBoundariesReplayIdentically) {
     std::vector<Sample> samples;
   };
   constexpr std::size_t kChunk = kWalReadChunkBytes;
-  constexpr std::size_t kCloseBytes = 13;     // header + i64 day
-  constexpr std::size_t kBatchHeader = 9;     // header + u32 count
-  constexpr std::size_t kSampleBytes = 21;
+  const std::size_t close_bytes = EncodeFlushAck(0).size();
+  const std::size_t batch_header = EncodeSubmitBatch({}).size();
+  // Wide, varied samples: a new key, a large delta and a value nearly
+  // every time. Consumed front to back, enough for every batch below.
+  std::vector<Sample> pool;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < 450'000; ++i) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    Sample s;
+    s.t = static_cast<std::int64_t>(rng >> 20) - (std::int64_t{1} << 40);
+    s.link = static_cast<topo::LinkId>(rng >> 7);
+    s.vp = static_cast<topo::VpId>(rng >> 29);
+    s.kind = static_cast<SampleKind>((rng >> 61) % 5);
+    s.value = static_cast<float>(rng >> 40) * 0.001f;
+    pool.push_back(s);
+  }
+  std::size_t pool_at = 0;
   WalDir dir("chunks");
   WalConfig config;
   config.dir = dir.path;
@@ -594,53 +652,70 @@ TEST(WalRecovery, RecordsStraddlingChunkBoundariesReplayIdentically) {
   ASSERT_EQ(writer.Open(config), WalStatus::kOk);
   std::vector<Record> written;
   std::size_t offset = 10;  // the segment magic
-  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
-  const auto append_batch = [&](std::size_t count) {
-    Record r;
-    for (std::size_t i = 0; i < count; ++i) {
-      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-      Sample s;
-      s.t = static_cast<std::int64_t>(rng >> 20) - (std::int64_t{1} << 40);
-      s.link = static_cast<topo::LinkId>(rng >> 7);
-      s.vp = static_cast<topo::VpId>(rng >> 29);
-      s.kind = static_cast<SampleKind>((rng >> 61) % 5);
-      s.value = static_cast<float>(rng >> 40) * 0.001f;
-      r.samples.push_back(s);
-    }
-    ASSERT_EQ(writer.AppendSamples(r.samples), WalStatus::kOk);
-    offset += kBatchHeader + kSampleBytes * count;
-    written.push_back(std::move(r));
+  const auto append_batch = [&](std::vector<Sample> samples) {
+    const std::uint64_t records = writer.records_appended();
+    ASSERT_EQ(writer.AppendSamples(samples), WalStatus::kOk);
+    ASSERT_EQ(writer.records_appended(), records + 1);
+    offset += EncodeSubmitBatch(samples).size();
+    written.push_back(Record{false, 0, std::move(samples)});
   };
   const auto append_close = [&](std::int64_t day) {
     ASSERT_EQ(writer.AppendClose(day), WalStatus::kOk);
-    offset += kCloseBytes;
+    offset += close_bytes;
     written.push_back(Record{true, day, {}});
   };
-  // Closes plus one batch ending exactly at `target` (13 and 21 are
-  // coprime, so some close count in [0, 21) fits any distance).
-  const auto pad_to = [&](std::size_t target) {
-    for (std::size_t closes = 0; closes < kSampleBytes; ++closes) {
-      const std::size_t rest = target - offset - closes * kCloseBytes;
-      if ((rest - kBatchHeader) % kSampleBytes != 0) continue;
-      for (std::size_t c = 0; c < closes; ++c) {
-        append_close(static_cast<std::int64_t>(written.size()));
-      }
-      append_batch((rest - kBatchHeader) / kSampleBytes);
-      return;
+  // A batch of `frame_bytes` (at least batch_header + 64) bytes: the pool's
+  // next samples up to a few bytes short, then fillers — the last sample
+  // again with zero value bits, same key and same t, which encode to one
+  // tag byte each.
+  const auto batch_of = [&](std::size_t frame_bytes) {
+    std::string frame;
+    const std::size_t taken = EncodeSubmitBatchTo(
+        std::span<const Sample>(pool).subspan(pool_at), &frame,
+        frame_bytes - batch_header - 32);
+    if (taken == 0) {
+      ADD_FAILURE() << "sample pool exhausted";
+      return std::vector<Sample>{};
     }
-    ADD_FAILURE() << "no record mix ends at offset " << target;
+    std::vector<Sample> batch(pool.begin() + pool_at,
+                              pool.begin() + pool_at + taken);
+    pool_at += taken;
+    Sample filler = batch.back();
+    filler.value = 0.0f;
+    const std::size_t filler_bytes =
+        EncodeSubmitBatch(std::vector<Sample>{filler, filler}).size() -
+        EncodeSubmitBatch(std::vector<Sample>{filler}).size();
+    EXPECT_EQ(filler_bytes, 1u);
+    batch.insert(batch.end(), frame_bytes - frame.size(), filler);
+    EXPECT_EQ(EncodeSubmitBatch(batch).size(), frame_bytes);
+    return batch;
+  };
+  const auto pad_to = [&](std::size_t target) {
+    append_close(static_cast<std::int64_t>(written.size()));
+    append_batch(batch_of(target - offset));
   };
   pad_to(kChunk - 1);  // the next length field: 1 byte, then 3 bytes
-  append_batch(50);
+  append_batch(batch_of(batch_header + 1000));
   pad_to(2 * kChunk - 4);  // the next header: length | type
   append_close(-7);
   pad_to(3 * kChunk - 5);  // the next header ends exactly at the chunk end
   const std::size_t long_frame_at = offset;
-  const std::size_t long_count = (kMaxFramePayload - 4) / kSampleBytes;
-  ASSERT_GT(4 + (long_count + 1) * kSampleBytes, kMaxFramePayload);
-  append_batch(long_count);
-  const std::size_t records_before_long = written.size() - 1;
-  for (const std::size_t count : {1, 2, 3, 1000}) append_batch(count);
+  const std::size_t records_before_long = written.size();
+  // The largest legal frame is one record; one sample more is two.
+  std::vector<Sample> longest = batch_of(4 + 1 + kMaxFramePayload);
+  append_batch(longest);
+  Sample extra = pool[pool_at++];
+  longest.push_back(extra);
+  ASSERT_GT(EncodeSubmitBatch(longest).size(), 4 + 1 + kMaxFramePayload);
+  ASSERT_EQ(writer.AppendSamples(longest), WalStatus::kOk);
+  written.push_back(Record{false, 0, {longest.begin(), longest.end() - 1}});
+  written.push_back(Record{false, 0, {extra}});
+  offset += EncodeSubmitBatch({longest.begin(), longest.end() - 1}).size() +
+            EncodeSubmitBatch(std::vector<Sample>{extra}).size();
+  for (const std::size_t bytes : {batch_header + 64, batch_header + 100,
+                                  batch_header + 200, batch_header + 20'000}) {
+    append_batch(batch_of(bytes));
+  }
   append_close(123456);
   writer.Abandon();
   const std::string segment = dir.path + "/wal-000001.seg";
@@ -755,6 +830,88 @@ TEST(ServiceWal, CrashRecoveryMatchesUncrashedRunByteForByte) {
     EXPECT_EQ(recovered.VerdictLogText(), want) << "shards " << shards;
     EXPECT_EQ(recovered.CloseWalClean(), WalStatus::kOk);
     recovered.Stop();
+  }
+}
+
+// One in-process SubmitBatch may carry more samples than one frame holds
+// (a wire batch cannot: a frame's consumed subset re-encodes no larger).
+// The WAL writes such a run as several records, each within
+// kMaxFramePayload, and a restart replays them into the verdicts and counts
+// of an uncrashed run. Written as one record, the log would read as
+// corrupt framing and fail recovery.
+TEST(ServiceWal, OversizedInProcessBatchRecovers) {
+  // 250,000 samples in one call: RTTs of day kDay on eight links and three
+  // VPs, each followed by a late sample 2,000 days older on another link,
+  // so every sample changes key and t by a wide delta.
+  constexpr std::int64_t kDay = 3000;
+  std::vector<Sample> big;
+  for (int i = 0; i < 125'000; ++i) {
+    Sample s = MakeSample(kDay, i % 24, static_cast<topo::LinkId>(1 + i % 8),
+                          static_cast<topo::VpId>(1 + (i / 8) % 3),
+                          i % 2 == 0 ? SampleKind::kFarRtt
+                                     : SampleKind::kNearRtt);
+    s.value += static_cast<float>(i % 1000) * 0.001f;
+    big.push_back(s);
+    Sample late = s;
+    late.t -= 2000 * stats::kSecPerDay + i % 97;
+    late.link = static_cast<topo::LinkId>(100 + i % 5);
+    big.push_back(late);
+  }
+  ASSERT_GT(EncodeSubmitBatch(big).size(), 5 + kMaxFramePayload);
+  std::vector<Sample> rest;
+  for (std::int64_t day = kDay + 1; day < kDay + 9; ++day) {
+    for (topo::LinkId link = 1; link <= 8; ++link) {
+      for (int slot = 0; slot < 24; ++slot) {
+        rest.push_back(MakeSample(day, slot, link));
+        rest.push_back(MakeSample(day, slot, link, 1, SampleKind::kNearRtt));
+      }
+    }
+  }
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    ServiceConfig plain;
+    plain.shards = shards;
+    plain.engine.autocorr = SmallConfig();
+    CongestionService reference(plain);
+    reference.Start();
+    const SubmitSummary summary = reference.SubmitBatch(big);
+    ASSERT_EQ(summary.accepted, big.size() / 2);
+    ASSERT_EQ(summary.late, big.size() / 2);
+    ASSERT_EQ(reference.SubmitBatch(rest).accepted, rest.size());
+    reference.FinishStream();
+    reference.Stop();
+    const std::string want = reference.VerdictLogText();
+    ASSERT_FALSE(want.empty());
+
+    WalDir dir("svc_oversized");
+    const std::size_t before_crash = rest.size() / 2;
+    {
+      CongestionService victim(WalServiceConfig(dir.path, shards));
+      ASSERT_TRUE(victim.RecoverFromWal().ok);
+      ASSERT_EQ(victim.SubmitBatch(big).late, big.size() / 2);
+      ASSERT_EQ(victim.SubmitBatch(std::span<const Sample>(rest).first(
+                                       before_crash))
+                    .accepted,
+                before_crash);
+      victim.Stop();  // a crash: no CloseWalClean
+    }
+    CongestionService recovered(WalServiceConfig(dir.path, shards));
+    const WalRecoverStats stats = recovered.RecoverFromWal();
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_EQ(stats.samples, big.size() + before_crash);
+    EXPECT_GT(stats.records, 2u);
+    ASSERT_EQ(recovered.Watermark().samples_consumed, stats.samples);
+    ASSERT_EQ(recovered
+                  .SubmitBatch(std::span<const Sample>(rest).subspan(
+                      before_crash))
+                  .accepted,
+              rest.size() - before_crash);
+    recovered.FinishStream();
+    recovered.Stop();
+    EXPECT_EQ(recovered.VerdictLogText(), want);
+    EXPECT_EQ(recovered.Stats(), reference.Stats());
+    EXPECT_EQ(recovered.Watermark().samples_consumed,
+              big.size() + rest.size());
   }
 }
 
@@ -1336,34 +1493,47 @@ TEST(WalCodec, BufferReusingEncodersMatchTheAllocatingOnes) {
 }
 
 // One kSubmitBatch frame, byte for byte: the WAL record format and the
-// wire format are the same bytes, so this pins both.
+// wire format are the same bytes, so this pins both. The samples cover a
+// first key, a same-t sample with zero value bits, a key change with a
+// negative delta, and -0.0f (non-zero bits, so a value follows).
 TEST(WalCodec, SubmitBatchGoldenBytes) {
-  std::vector<Sample> batch(2);
-  batch[0].t = 259205;  // 0x3F485
+  std::vector<Sample> batch(4);
+  batch[0].t = 259205;  // zigzag 518410: varint 8a d2 1f
   batch[0].link = 7;
   batch[0].vp = 2;
   batch[0].kind = SampleKind::kNearRtt;
   batch[0].value = 1.5f;  // 0x3FC00000
-  batch[1].t = -1;
-  batch[1].link = 0x01020304;
-  batch[1].vp = 9;
-  batch[1].kind = SampleKind::kLossRate;
-  batch[1].value = -0.25f;  // 0xBE800000
+  batch[1] = batch[0];
+  batch[1].kind = SampleKind::kFarMissing;
+  batch[1].value = 0.0f;
+  batch[2].t = -1;  // delta -259206, zigzag 518411: varint 8b d2 1f
+  batch[2].link = 0x01020304;
+  batch[2].vp = 9;
+  batch[2].kind = SampleKind::kLossRate;
+  batch[2].value = -0.25f;  // 0xBE800000
+  batch[3] = batch[2];
+  batch[3].t = 899;  // delta 900, zigzag 1800: varint 88 0e
+  batch[3].kind = SampleKind::kNearRtt;
+  batch[3].value = -0.0f;  // 0x80000000
   const std::string golden(
-      "\x2f\x00\x00\x00"                  // length: type + 46 payload bytes
-      "\x03"                              // kSubmitBatch
-      "\x02\x00\x00\x00"                  // count
-      "\x85\xf4\x03\x00\x00\x00\x00\x00"  // t
-      "\x07\x00\x00\x00"                  // link
-      "\x02\x00\x00\x00"                  // vp
-      "\x01"                              // kind
-      "\x00\x00\xc0\x3f"                  // value
-      "\xff\xff\xff\xff\xff\xff\xff\xff"
+      "\x2d\x00\x00\x00"  // length: type + 44 payload bytes
+      "\x03"              // kSubmitBatch
+      "\x04\x00\x00\x00"  // count
+      "\x19"              // tag: kNearRtt | key | value
+      "\x07\x00\x00\x00"  // link
+      "\x02\x00\x00\x00"  // vp
+      "\x8a\xd2\x1f"      // t delta
+      "\x00\x00\xc0\x3f"  // value
+      "\x22"              // tag: kFarMissing | same t; no key, no value
+      "\x1c"              // tag: kLossRate | key | value
       "\x04\x03\x02\x01"
       "\x09\x00\x00\x00"
-      "\x04"
-      "\x00\x00\x80\xbe",
-      51);
+      "\x8b\xd2\x1f"
+      "\x00\x00\x80\xbe"
+      "\x11"  // tag: kNearRtt | value
+      "\x88\x0e"
+      "\x00\x00\x00\x80",
+      49);
   EXPECT_EQ(EncodeSubmitBatch(batch), golden);
   FrameView frame;
   ASSERT_EQ(ParseFrame(golden, &frame), FrameParse::kFrame);
@@ -1377,15 +1547,259 @@ TEST(WalCodec, SubmitBatchGoldenBytes) {
     EXPECT_EQ(decoded[i].link, batch[i].link);
     EXPECT_EQ(decoded[i].vp, batch[i].vp);
     EXPECT_EQ(decoded[i].kind, batch[i].kind);
-    EXPECT_EQ(decoded[i].value, batch[i].value);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(decoded[i].value),
+              std::bit_cast<std::uint32_t>(batch[i].value));
   }
-  // The count must account for the payload exactly, and kinds stay bounded.
+  // The payload must end with the last sample, and kinds stay bounded.
   std::string payload(frame.payload);
   EXPECT_FALSE(DecodeSubmitBatch(payload + '\0', &decoded));
   EXPECT_FALSE(DecodeSubmitBatch(payload.substr(0, payload.size() - 1),
                                  &decoded));
-  payload[4 + 16] = '\x05';
+  payload[4] = '\x1d';  // kind 5
   EXPECT_FALSE(DecodeSubmitBatch(payload, &decoded));
+}
+
+// Bitwise sample equality: NaN payloads and -0.0f included.
+bool SameSamples(std::span<const Sample> a, std::span<const Sample> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].t != b[i].t || a[i].link != b[i].link || a[i].vp != b[i].vp ||
+        a[i].kind != b[i].kind ||
+        std::bit_cast<std::uint32_t>(a[i].value) !=
+            std::bit_cast<std::uint32_t>(b[i].value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A seeded batch drawn from every value class the record distinguishes:
+// repeated, small, backwards and extreme timestamps (INT64_MIN/MAX, so
+// deltas wrap), repeated and extreme keys, zero, -0.0f, NaN payloads,
+// denormal and random value bits.
+std::vector<Sample> ValueClassBatch(std::uint64_t seed, std::size_t count) {
+  std::uint64_t rng = seed * 0x9e3779b97f4a7c15ULL + 1;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint32_t kValueBits[] = {
+      0x00000000, 0x80000000, 0x7FC00000, 0x7FC00001, 0xFFFFFFFF,
+      0x7F800000, 0x00000001, 0x3F800000};
+  std::vector<Sample> batch;
+  Sample prev;
+  for (std::size_t i = 0; i < count; ++i) {
+    Sample s = prev;
+    const std::uint64_t r = next();
+    // Steps wrap in uint64_t, as the decoder's sum does: prev.t may be
+    // INT64_MIN or INT64_MAX.
+    const auto step = [&prev](std::uint64_t delta) {
+      return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev.t) +
+                                       delta);
+    };
+    switch (r % 8) {
+      case 0: break;  // same t
+      case 1: s.t = step(900); break;
+      case 2: s.t = step(0 - next() % 100000); break;
+      case 3: s.t = kMin; break;
+      case 4: s.t = kMax; break;
+      case 5: s.t = 0; break;
+      default: s.t = static_cast<std::int64_t>(next()); break;
+    }
+    switch ((r >> 3) % 6) {
+      case 0:
+      case 1: break;  // same key
+      case 2: s.link = 0; s.vp = 0; break;
+      case 3: s.link = 0xFFFFFFFF; s.vp = 0xFFFFFFFF; break;
+      case 4: s.vp = static_cast<topo::VpId>(next()); break;
+      default:
+        s.link = static_cast<topo::LinkId>(next());
+        s.vp = static_cast<topo::VpId>(next() % 30);
+        break;
+    }
+    s.kind = static_cast<SampleKind>((r >> 6) % (kMaxSampleKind + 1));
+    const std::uint64_t v = (r >> 9) % 10;
+    s.value = std::bit_cast<float>(
+        v < 8 ? kValueBits[v] : static_cast<std::uint32_t>(next()));
+    batch.push_back(s);
+    prev = s;
+  }
+  return batch;
+}
+
+// Any Sample sequence round-trips bit for bit, and the payload the encoder
+// writes is the only spelling the decoder takes: decode then encode gives
+// the same bytes.
+TEST(WalCodec, SubmitBatchRoundTripsEveryValueClass) {
+  std::vector<Sample> decoded;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<Sample> batch = ValueClassBatch(seed, seed % 64);
+    const std::string frame = EncodeSubmitBatch(batch);
+    FrameView view;
+    ASSERT_EQ(ParseFrame(frame, &view), FrameParse::kFrame);
+    ASSERT_TRUE(DecodeSubmitBatch(view.payload, &decoded));
+    ASSERT_TRUE(SameSamples(decoded, batch));
+    ASSERT_EQ(EncodeSubmitBatch(decoded), frame);
+  }
+}
+
+// Every other spelling of a sample is rejected: each payload below would
+// decode to a valid batch if the decoder were lenient.
+TEST(WalCodec, SubmitBatchRejectsNonCanonicalForms) {
+  const auto payload = [](std::string_view samples, std::uint32_t count = 1) {
+    Encoder e;
+    e.PutU32(count);
+    e.PutBytes(samples);
+    return e.Take();
+  };
+  std::vector<Sample> out;
+  // Baseline: t = 1, key (1, 2), no value — accepted.
+  const std::string key = std::string("\x01\x00\x00\x00\x02\x00\x00\x00", 8);
+  ASSERT_TRUE(DecodeSubmitBatch(payload("\x08" + key + "\x02"), &out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].t, 1);
+  EXPECT_EQ(out[0].link, 1u);
+  EXPECT_EQ(out[0].vp, 2u);
+  // A key flag that repeats the previous key (here the initial (0, 0)).
+  EXPECT_FALSE(DecodeSubmitBatch(
+      payload(std::string("\x08", 1) + std::string(8, '\0') + "\x02"), &out));
+  EXPECT_FALSE(DecodeSubmitBatch(
+      payload("\x08" + key + "\x02" + "\x08" + key + "\x02", 2), &out));
+  // A zero delta as a varint (tag, then varint 0) instead of the same-t
+  // flag.
+  EXPECT_FALSE(DecodeSubmitBatch(payload(std::string("\x00\x00", 2)), &out));
+  // A padded varint: 1 spelled in two bytes.
+  EXPECT_FALSE(DecodeSubmitBatch(payload(std::string("\x20\x00\x81\x00", 4),
+                                         2),
+                                 &out));
+  EXPECT_TRUE(DecodeSubmitBatch(payload(std::string("\x20\x00\x02", 3), 2),
+                                &out));
+  // A value flag on zero bits.
+  EXPECT_FALSE(DecodeSubmitBatch(
+      payload(std::string("\x30\x00\x00\x00\x00", 5)), &out));
+  EXPECT_TRUE(DecodeSubmitBatch(
+      payload(std::string("\x30\x00\x00\x00\x80", 5)), &out));
+  // Unused tag bits, and kinds past kMaxSampleKind.
+  EXPECT_FALSE(DecodeSubmitBatch(payload("\x60"), &out));
+  EXPECT_FALSE(DecodeSubmitBatch(payload("\xa0"), &out));
+  for (const char kind : {'\x25', '\x26', '\x27'}) {
+    EXPECT_FALSE(DecodeSubmitBatch(payload(std::string(1, kind)), &out));
+  }
+  EXPECT_TRUE(DecodeSubmitBatch(payload("\x24"), &out));
+  // Varints (after a bare tag): ten bytes carry bit 63 and no more; an
+  // eleventh never comes.
+  const std::string tag_nine_ff = std::string(1, '\0') + std::string(9, '\xff');
+  EXPECT_TRUE(DecodeSubmitBatch(payload(tag_nine_ff + "\x01"), &out));
+  // zigzag 2^64 - 1 is the delta -2^63
+  EXPECT_EQ(out[0].t, std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(DecodeSubmitBatch(payload(tag_nine_ff + "\x02"), &out));
+  EXPECT_FALSE(DecodeSubmitBatch(payload(tag_nine_ff + "\x81\x00"), &out));
+  EXPECT_FALSE(DecodeSubmitBatch(payload(tag_nine_ff), &out));
+  // A count the payload cannot hold, and a count it holds more than.
+  EXPECT_FALSE(DecodeSubmitBatch(payload("\x20\x20", 3), &out));
+  EXPECT_FALSE(DecodeSubmitBatch(payload("\x20\x20", 1), &out));
+  EXPECT_FALSE(DecodeSubmitBatch(payload("", 0xFFFFFFFF), &out));
+}
+
+// The decoder is a trust boundary: every prefix of a frame's payload and
+// every single-byte change to it is decoded without a crash (UBSan runs
+// this), and whatever it accepts re-encodes to exactly the bytes given.
+TEST(WalCodec, SubmitBatchDecoderSurvivesCutsAndFlips) {
+  std::vector<Sample> batch = ValueClassBatch(7, 24);
+  batch.push_back(MakeSample(3, 5, 12));
+  const std::string frame = EncodeSubmitBatch(batch);
+  const std::string payload = frame.substr(5);
+  std::vector<Sample> decoded;
+  std::size_t accepted = 0;
+  const auto check = [&](const std::string& bytes) {
+    if (!DecodeSubmitBatch(bytes, &decoded)) return;
+    ++accepted;
+    ASSERT_EQ(EncodeSubmitBatch(decoded).substr(5), bytes);
+  };
+  for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
+    check(payload.substr(0, cut));
+  }
+  for (std::size_t at = 0; at < payload.size(); ++at) {
+    std::string flipped = payload;
+    for (int v = 0; v < 256; ++v) {
+      if (static_cast<char>(v) == payload[at]) continue;
+      flipped[at] = static_cast<char>(v);
+      check(flipped);
+    }
+  }
+  // The whole payload, and a few flips that stay canonical, are taken.
+  EXPECT_GT(accepted, 1u);
+}
+
+// A study-shaped batch: one VP-link pair-day of 96 fifteen-minute bins, a
+// far and a near RTT each, as perfbench and the continental study submit.
+std::vector<Sample> StudyPairDay(std::int64_t day, topo::LinkId link,
+                                 topo::VpId vp) {
+  std::vector<Sample> batch;
+  for (int bin = 0; bin < 96; ++bin) {
+    Sample far;
+    far.t = day * stats::kSecPerDay + bin * 900 + 450;
+    far.link = link;
+    far.vp = vp;
+    far.kind = SampleKind::kFarRtt;
+    far.value = 20.0f + 0.37f * static_cast<float>((bin * 7 + vp) % 11);
+    Sample near = far;
+    near.kind = SampleKind::kNearRtt;
+    near.value = 0.5f * far.value + 0.01f;
+    batch.push_back(far);
+    batch.push_back(near);
+  }
+  return batch;
+}
+
+// The record's point: a pair-day batch repeats its key and steps t by one
+// bin in far/near pairs, so it costs about 6 bytes a sample (21 in v1).
+TEST(WalCodec, StudyBatchEncodesUnderSixAndAHalfBytesASample) {
+  const std::vector<Sample> batch = StudyPairDay(600, 4242, 17);
+  ASSERT_EQ(batch.size(), 192u);
+  const std::size_t bytes = EncodeSubmitBatch(batch).size();
+  EXPECT_LE(static_cast<double>(bytes) / 192.0, 6.5) << bytes << " bytes";
+}
+
+// The byte-denominated cadences follow the record format, so they stay the
+// same per sample: the default segment holds as many study batches as
+// 64 MiB of fixed-width v1 records did (the checkpoint cadence and the
+// restart bound), and a study day of 154 pair-day batches still gets two
+// writeback hints before its close.
+TEST(WalCodec, SegmentAndWritebackCadenceStayPerSample) {
+  const std::vector<Sample> batch = StudyPairDay(600, 4242, 17);
+  constexpr std::size_t kV1BatchBytes = 5 + 4 + 21 * 192;
+  const double v1_batches = static_cast<double>(std::size_t{64} << 20) /
+                            static_cast<double>(kV1BatchBytes);
+  const double batches = static_cast<double>(kWalDefaultSegmentBytes) /
+                         static_cast<double>(EncodeSubmitBatch(batch).size());
+  EXPECT_NEAR(batches / v1_batches, 1.0, 0.02);
+  EXPECT_EQ(WalConfig{}.segment_bytes, kWalDefaultSegmentBytes);
+  EXPECT_EQ(ServiceConfig{}.wal_segment_bytes, kWalDefaultSegmentBytes);
+
+  WalDir dir("study_day_hints");
+  WalConfig config;
+  config.dir = dir.path;
+  config.fsync = WalFsync::kDayClose;
+  WalWriter writer;
+  ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+  for (std::int64_t day = 600; day < 602; ++day) {
+    for (int pair = 0; pair < 154; ++pair) {
+      ASSERT_EQ(writer.AppendSamples(StudyPairDay(
+                    day, static_cast<topo::LinkId>(100 + pair / 3),
+                    static_cast<topo::VpId>(1 + pair % 3))),
+                WalStatus::kOk);
+    }
+    ASSERT_EQ(writer.AppendClose(day), WalStatus::kOk);
+    EXPECT_EQ(writer.writeback_hints(),
+              2u * static_cast<std::uint64_t>(day - 599));
+  }
+  ASSERT_EQ(writer.CloseClean(), WalStatus::kOk);
 }
 
 // ParseFrame judges the length as soon as it is present and the type byte
@@ -1842,7 +2256,9 @@ TEST(ServiceCheckpoint, FailedCheckpointIsDroppedUntilTheNextRotation) {
     CheckpointFaults faults(c.enospc_from, c.fail_sync);
     ServiceConfig config = WalServiceConfig(dir.path, 1);
     config.wal_fsync = WalFsync::kDayClose;  // checkpoint syncs run
-    config.wal_segment_bytes = 8192;
+    // 8 KiB of fixed-width v1 records, scaled as kWalDefaultSegmentBytes
+    // is: the same eight pair-day batches a segment.
+    config.wal_segment_bytes = 8192 * 2 / 7;
     config.wal_fault_hook = &faults;
     {
       CongestionService service(config);
