@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
     serve::ServiceConfig config;
     config.shards = w.shards;
     config.engine.autocorr = w.autocorr;
-    config.store_raw = false;
     if (!wal_dir.empty()) {
       // Per-rep subdirectory: recovery must see an empty log, not the
       // previous rep's — this benchmarks appends, not replay.

@@ -58,7 +58,6 @@ bool RunServeParity(const scenario::StudyOptions& options,
   serve::ServiceConfig config;
   config.shards = shards;
   config.engine.autocorr = options.autocorr;
-  config.store_raw = false;  // parity needs verdicts, not the raw store
   config.wal_dir = wal_dir;  // non-empty = crash-safe run (--wal-dir)
   serve::CongestionService service(config);
   service.Start();

@@ -129,11 +129,10 @@ int main() {
   if (stats) {
     std::printf(
         "\nservice: %llu samples in, %llu verdict rows, %llu links, "
-        "%llu raw points across %u shards\n",
+        "across %u shards\n",
         static_cast<unsigned long long>(stats->samples),
         static_cast<unsigned long long>(stats->verdicts),
-        static_cast<unsigned long long>(stats->links),
-        static_cast<unsigned long long>(stats->raw_points), stats->shards);
+        static_cast<unsigned long long>(stats->links), stats->shards);
   }
 
   client.Close();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification sweep, six stages:
-#   1. default build + the whole ctest suite;
+#   1. default build (warnings are errors) + the whole ctest suite;
 #   2. the parallel-determinism gate: bench/table3_overview at 1 thread and
 #      at N threads must write byte-identical stdout (the runtime metrics
 #      report goes to stderr), with both wall times recorded as JSON lines;
@@ -84,7 +84,7 @@ stage() {
 }
 
 stage "[1/6] default build + full test suite"
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DMANIC_WARNINGS_AS_ERRORS=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

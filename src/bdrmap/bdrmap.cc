@@ -28,7 +28,7 @@ std::vector<const BorderLink*> BdrmapResult::LinksToNeighbor(Asn asn) const {
 }
 
 Bdrmap::Bdrmap(SimNetwork& net, VpId vp, Config config)
-    : net_(&net), vp_(vp), config_(config) {
+    : net_(&net), config_(config), vp_(vp) {
   host_as_ = net_->topology().vp(vp).host_as;
   for (const Asn s : net_->topology().orgs.Siblings(host_as_)) {
     host_siblings_.insert(s);

@@ -216,50 +216,4 @@ bool LoadQuality(runtime::BlobReader& in, infer::DataQuality* q) {
   return true;
 }
 
-void SaveRawSeries(const tsdb::Database& db,
-                   tsdb::Database::SeriesHandle series,
-                   runtime::BlobWriter& out) {
-  out.PutU32(series ? 1u : 0u);
-  if (!series) return;
-  const stats::TimeSeries& points = db.Points(series);
-  out.PutU64(points.size());
-  for (const stats::Point& p : points.points()) {
-    out.PutI64(p.t);
-    out.PutDouble(p.value);
-  }
-  const stats::TimeSeries& markers = db.Markers(series);
-  out.PutU64(markers.size());
-  for (const stats::Point& p : markers.points()) out.PutI64(p.t);
-}
-
-bool LoadRawSeries(runtime::BlobReader& in, tsdb::Database& db,
-                   const std::function<tsdb::Database::SeriesHandle()>& open,
-                   std::uint64_t* points) {
-  std::uint32_t present = 0;
-  if (!in.GetU32(&present) || present > 1u) return false;
-  if (present == 0) return true;
-  const tsdb::Database::SeriesHandle series = open();
-  if (!db.Points(series).empty() || !db.Markers(series).empty()) return false;
-  // The series starts empty and Append refuses a point older than its
-  // newest, so a restored series is in time order or the load fails.
-  std::uint64_t n = 0;
-  if (!in.GetU64(&n) || n > in.remaining() / 16) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    stats::TimeSec t = 0;
-    double value = 0.0;
-    if (!in.GetI64(&t) || !in.GetDouble(&value) ||
-        !db.Append(series, t, value)) {
-      return false;
-    }
-  }
-  *points += n;
-  std::uint64_t m = 0;
-  if (!in.GetU64(&m) || m > in.remaining() / 8) return false;
-  for (std::uint64_t i = 0; i < m; ++i) {
-    stats::TimeSec t = 0;
-    if (!in.GetI64(&t) || !db.AppendMissing(series, t)) return false;
-  }
-  return true;
-}
-
 }  // namespace manic::serve

@@ -14,9 +14,13 @@
 //             ckpt-NNNNNN.tmp, synced and renamed: the rename commits.
 //   part      ckpt-TTTTTT.part-K: shard K's (link, VP) pairs in ascending
 //             order, one record each — the classifier (open days by day,
-//             window days oldest first, quality tally) and the raw series
-//             inside the retention horizon. Pairs are keyed by link, so a
-//             checkpoint written at N shards restores at any shard count.
+//             window days oldest first, quality tally). Pairs are keyed by
+//             link, so a checkpoint written at N shards restores at any
+//             shard count.
+//
+// Version 2 dropped the raw series each version-1 pair record carried (the
+// service no longer keeps raw samples); a version-1 checkpoint is refused,
+// naming both versions, and left on disk.
 //
 // Writers stream one record at a time through a reused buffer, so taking a
 // checkpoint never holds a second full copy of the state it saves. Readers
@@ -27,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -35,7 +38,6 @@
 #include "runtime/io_fault.h"
 #include "serve/verdict.h"
 #include "serve/wal.h"
-#include "tsdb/tsdb.h"
 
 namespace manic::infer {
 struct DataQuality;
@@ -45,7 +47,7 @@ namespace manic::serve {
 
 // "MANICCK1" read as a little-endian u64.
 inline constexpr std::uint64_t kCheckpointMagic = 0x314b4343494e414dULL;
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 // The fixed front of a manifest. Its in-memory layout is its encoding (all
 // fields little-endian, no padding), pinned below and by the golden-bytes
@@ -72,7 +74,8 @@ static_assert(offsetof(CheckpointHeader, intervals_per_day) == 36);
 
 void EncodeCheckpointHeader(const CheckpointHeader& header,
                             runtime::BlobWriter& out);
-// False on a short buffer, a foreign magic or an unknown version.
+// False on a short buffer, a foreign magic or an unknown version; on an
+// unknown version (only) header->version is left holding the version read.
 [[nodiscard]] bool DecodeCheckpointHeader(std::string_view bytes,
                                           CheckpointHeader* header);
 
@@ -143,18 +146,5 @@ void SaveVerdictRow(const VerdictRecord& v, runtime::BlobWriter& out);
 
 void SaveQuality(const infer::DataQuality& q, runtime::BlobWriter& out);
 [[nodiscard]] bool LoadQuality(runtime::BlobReader& in, infer::DataQuality* q);
-
-// One raw series of a pair: absent (an unopened handle), or its points and
-// gap markers in time order.
-void SaveRawSeries(const tsdb::Database& db,
-                   tsdb::Database::SeriesHandle series,
-                   runtime::BlobWriter& out);
-// Restores one SaveRawSeries block. `open` supplies the series when the
-// block holds one, which must still be empty; *points counts the data
-// points restored.
-[[nodiscard]] bool LoadRawSeries(
-    runtime::BlobReader& in, tsdb::Database& db,
-    const std::function<tsdb::Database::SeriesHandle()>& open,
-    std::uint64_t* points);
 
 }  // namespace manic::serve

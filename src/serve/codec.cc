@@ -383,8 +383,8 @@ bool DecodeSubmitBatch(std::string_view payload, std::vector<Sample>* out) {
   if (payload.size() < 4) return false;
   const std::uint32_t count = GetLE<std::uint32_t>(payload.data());
   // Every sample takes at least its tag byte, so the bytes left bound the
-  // count before it sizes anything.
-  if (count > payload.size() - 4) return false;
+  // count before it sizes anything; so does the per-frame cap.
+  if (count > payload.size() - 4 || count > kMaxSamplesPerFrame) return false;
   out->resize(count);
   const auto* p = reinterpret_cast<const unsigned char*>(payload.data()) + 4;
   const auto* const end =

@@ -33,10 +33,15 @@
 namespace manic::serve {
 
 inline constexpr std::uint32_t kProtocolVersion = 2;
-// Generous bound for a submit batch (at least 182k samples of the widest
-// encoding, ~690k pair-day samples); anything larger is treated as a
-// corrupt or hostile stream.
+// Generous bound for a submit batch's bytes (at least 182k samples of the
+// widest encoding); anything larger is treated as a corrupt or hostile
+// stream.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 22;
+// The most samples one submit frame (or WAL record) may carry. A one-byte
+// sample would otherwise let a legal frame decode to ~4.2M samples (~100 MB);
+// the cap holds a decode to ~6 MB and sits above v1's fixed-width limit
+// (kMaxFramePayload / 21 = 199,728), so no frame v1 accepted is refused.
+inline constexpr std::uint32_t kMaxSamplesPerFrame = 1u << 18;
 
 enum class MsgType : std::uint8_t {
   // client -> server
@@ -95,7 +100,7 @@ struct ServiceStats {
   std::int64_t last_closed_day = 0;
   std::int64_t days_closed = 0;
   std::uint32_t shards = 0;
-  std::uint64_t raw_points = 0;     // points retained in the shard tsdbs
+  std::uint64_t raw_points = 0;     // retired: no raw store, always 0
   std::uint64_t samples_late = 0;      // dropped: day already closed
   std::uint64_t samples_rejected = 0;  // dropped: timestamp out of bounds
 
@@ -207,7 +212,8 @@ std::string EncodeSubmitBatch(std::span<const Sample> samples);
 // allocation-free in steady state. Encodes the longest prefix of `samples`
 // whose payload fits max_payload bytes and returns its length: every
 // sample unless a bound is given (the WAL passes kMaxFramePayload and
-// writes the rest as further records).
+// at most kMaxSamplesPerFrame samples, and writes the rest as further
+// records).
 std::size_t EncodeSubmitBatchTo(
     std::span<const Sample> samples, std::string* out,
     std::size_t max_payload = std::numeric_limits<std::size_t>::max());

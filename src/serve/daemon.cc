@@ -331,6 +331,10 @@ bool BlockingClient::Submit(std::span<const Sample> samples) {
     last_error_ = ClientError::kClosed;
     return false;
   }
+  if (samples.size() > kMaxSamplesPerFrame) {
+    last_error_ = ClientError::kProtocol;  // the daemon would refuse it
+    return false;
+  }
   frame_buf_.clear();
   EncodeSubmitBatchTo(samples, &frame_buf_);
   if (!SendAll(frame_buf_)) return false;

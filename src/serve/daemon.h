@@ -113,7 +113,9 @@ class BlockingClient {
   ClientError last_error() const noexcept { return last_error_; }
 
   // Each call sends one request frame and blocks for the matching reply;
-  // nullopt/false mean a transport or protocol failure.
+  // nullopt/false mean a transport or protocol failure. Submit sends
+  // nothing and fails with kProtocol for more than kMaxSamplesPerFrame
+  // samples: split larger batches.
   bool Submit(std::span<const Sample> samples);
   std::optional<std::vector<VerdictRecord>> QueryRange(topo::LinkId link,
                                                        TimeSec t0, TimeSec t1);

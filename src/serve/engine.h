@@ -12,9 +12,8 @@
 // and never moved or freed, holding the pair's classifier. A sample finds its
 // slot through a one-entry cache of the previous sample's pair (a pair-day
 // batch is ~193 samples of one pair) and an ordered (link, vp) index behind
-// it; the IngestShard keys its tsdb handles by the same slot. CloseDay walks
-// the index, folds each link's quality once, and keeps the per-link quality
-// rows until the next close.
+// it. CloseDay walks the index, folds each link's quality once, and keeps
+// the per-link quality rows until the next close.
 //
 // Determinism contract: the close order (and therefore the floating-point
 // summation order of per-VP fractions) is ascending (link, vp) — the same
@@ -67,13 +66,10 @@ class ShardEngine {
   }
 
   // O(1): routes one sample into its pair's open-day bins. Loss-rate
-  // samples are counted but do not feed inference (they live in the raw
-  // store only); RTT and missing-marker kinds land in minimum bins.
+  // samples are counted but feed nothing (see SampleKind::kLossRate); RTT
+  // and missing-marker kinds land in minimum bins.
   void Ingest(const Sample& s) { IngestAt(SlotOf(s.link, s.vp), s); }
   // manic-lint: hot-path(end)
-
-  // Ingest for a caller that already holds the sample's SlotOf.
-  void IngestAt(PairSlot slot, const Sample& s);
 
   // Finalizes `day` for every pair and returns the merged per-link verdicts
   // in ascending link order. Days must be closed in ascending order; pairs
@@ -118,6 +114,9 @@ class ShardEngine {
   std::uint64_t late_samples() const noexcept { return late_; }
 
  private:
+  // Ingest once the sample's SlotOf is known.
+  void IngestAt(PairSlot slot, const Sample& s);
+
   static std::uint64_t PairKey(topo::LinkId link, topo::VpId vp) noexcept {
     return (static_cast<std::uint64_t>(link) << 32) | vp;
   }

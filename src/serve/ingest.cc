@@ -6,20 +6,9 @@
 #include "serve/checkpoint.h"
 
 namespace manic::serve {
-namespace {
-
-tsdb::TagSet PairTags(topo::LinkId link, topo::VpId vp) {
-  tsdb::TagSet tags;
-  tags.Set("link", std::to_string(link));
-  tags.Set("vp", std::to_string(vp));
-  return tags;
-}
-
-}  // namespace
 
 IngestShard::IngestShard(IngestShardConfig config)
-    : config_(config),
-      ring_(config.ring_capacity),
+    : ring_(config.ring_capacity),
       engine_(config.engine) {}
 
 IngestShard::~IngestShard() { Stop(); }
@@ -91,14 +80,10 @@ void IngestShard::WorkerLoop() {
         // the linter's hot-path contract; day-close below is cold and
         // exempt.
         // manic-lint: hot-path(begin)
-        case MsgKind::kSample: {
-          const ShardEngine::PairSlot slot =
-              engine_.SlotOf(msg.sample.link, msg.sample.vp);
-          engine_.IngestAt(slot, msg.sample);
-          if (config_.store_raw) Store(slot, msg.sample);
+        case MsgKind::kSample:
+          engine_.Ingest(msg.sample);
           ++run_samples_;
           break;
-        }
           // manic-lint: hot-path(end)
         case MsgKind::kCloseDay:
         case MsgKind::kCheckpointDay:
@@ -116,31 +101,21 @@ void IngestShard::WorkerLoop() {
 void IngestShard::PublishCounts() {
   samples_.fetch_add(std::exchange(run_samples_, 0),
                      std::memory_order_relaxed);
-  raw_points_.fetch_add(std::exchange(run_raw_points_, 0),
-                        std::memory_order_relaxed);
 }
 
 void IngestShard::FinalizeDay(std::int64_t day, bool checkpoint) {
-  PublishCounts();  // a reader after WaitClosed sees every counted point
+  PublishCounts();  // a reader after WaitClosed sees every counted sample
   day_verdicts_ = engine_.CloseDay(day);
-  if (config_.store_raw && config_.retention_horizon_s > 0) {
-    const std::size_t dropped =
-        db_.EnforceRetention("tslp_rtt", config_.retention_horizon_s) +
-        db_.EnforceRetention("tslp_loss", config_.retention_horizon_s);
-    raw_points_.fetch_sub(dropped, std::memory_order_relaxed);
-  }
   if (checkpoint) checkpoint_part_ = WriteCheckpointPart();
   closed_through_.store(day, std::memory_order_release);
   closed_through_.notify_all();
 }
 
-// One record per pair, ascending (link, vp): link, vp, the classifier, then
-// the far, near and loss raw series.
+// One record per pair, ascending (link, vp): link, vp, the classifier.
 CheckpointPart IngestShard::WriteCheckpointPart() const {
   CheckpointFile file;
   WalStatus status = file.Create(checkpoint_path_, checkpoint_hook_);
   runtime::BlobWriter record;  // one pair at a time, capacity reused
-  const SeriesHandles unopened;
   engine_.ForEachPair([&](topo::LinkId link, topo::VpId vp,
                           ShardEngine::PairSlot slot) {
     if (status != WalStatus::kOk) return;
@@ -148,12 +123,6 @@ CheckpointPart IngestShard::WriteCheckpointPart() const {
     record.PutU32(link);
     record.PutU32(vp);
     engine_.pair(slot).Save(record);
-    const SeriesHandles& series =
-        slot < handles_.size() ? handles_[slot] : unopened;
-    for (const tsdb::Database::SeriesHandle handle :
-         {series.far, series.near, series.loss}) {
-      SaveRawSeries(db_, handle, record);
-    }
     status = file.AppendRecord(record.str());
   });
   if (status == WalStatus::kOk) status = file.Finish(checkpoint_sync_);
@@ -167,49 +136,12 @@ bool IngestShard::RestorePair(topo::LinkId link, topo::VpId vp,
                               runtime::BlobReader& in) {
   const std::size_t pairs_before = engine_.pair_count();
   const ShardEngine::PairSlot slot = engine_.SlotOf(link, vp);
-  if (slot < pairs_before || !engine_.pair(slot).Load(in)) return false;
-  if (slot >= handles_.size()) handles_.resize(slot + 1);
-  std::uint64_t points = 0;
-  Sample key;
-  key.link = link;
-  key.vp = vp;
-  for (const SampleKind kind :
-       {SampleKind::kFarRtt, SampleKind::kNearRtt, SampleKind::kLossRate}) {
-    key.kind = kind;
-    tsdb::Database::SeriesHandle& handle = handles_[slot].For(kind);
-    const auto open = [&] { return handle = OpenSeries(key); };
-    if (!LoadRawSeries(in, db_, open, &points)) return false;
-  }
-  raw_points_.fetch_add(points, std::memory_order_relaxed);
-  return true;
+  return slot >= pairs_before && engine_.pair(slot).Load(in);
 }
 
 void IngestShard::RestoreClosedThrough(std::int64_t day) {
   engine_.RestoreClosedThrough(day);
   closed_through_.store(day, std::memory_order_relaxed);
-}
-
-// First sample of a series kind for a pair: the tsdb creates the series.
-tsdb::Database::SeriesHandle IngestShard::OpenSeries(const Sample& s) {
-  tsdb::TagSet tags = PairTags(s.link, s.vp);
-  if (s.kind == SampleKind::kLossRate) return db_.OpenSeries("tslp_loss", tags);
-  const bool far_side =
-      s.kind == SampleKind::kFarRtt || s.kind == SampleKind::kFarMissing;
-  tags.Set("side", far_side ? "far" : "near");
-  return db_.OpenSeries("tslp_rtt", tags);
-}
-
-void IngestShard::Store(ShardEngine::PairSlot slot, const Sample& s) {
-  if (slot >= handles_.size()) handles_.resize(slot + 1);  // a new pair
-  tsdb::Database::SeriesHandle& handle = handles_[slot].For(s.kind);
-  if (!handle) handle = OpenSeries(s);
-  // A point older than its series' newest (samples of a day may arrive in
-  // any order) is kept out of the raw store; inference still has it.
-  if (s.kind == SampleKind::kFarMissing || s.kind == SampleKind::kNearMissing) {
-    (void)db_.AppendMissing(handle, s.t);
-  } else if (db_.Append(handle, s.t, s.value)) {
-    ++run_raw_points_;
-  }
 }
 
 }  // namespace manic::serve

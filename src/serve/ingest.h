@@ -1,8 +1,10 @@
 // One ingest shard: an SPSC ring feeding a worker thread that owns a
-// ShardEngine (hot inference state) and a tsdb::Database (raw sample
-// retention). The service routes every sample of a link to exactly one
-// shard (link % shards), so a shard always holds complete per-link state
-// and day-close verdicts never need a cross-shard merge.
+// ShardEngine (the inference state: each pair's open days and rolling
+// window). The shard keeps no raw samples — verdicts read only the window's
+// bins, and the WAL and checkpoints are the durable record. The service
+// routes every sample of a link to exactly one shard (link % shards), so a
+// shard always holds complete per-link state and day-close verdicts never
+// need a cross-shard merge.
 //
 // Samples move in runs (see serve/ring.h): PushSample only stages a sample
 // on the ring, and Publish() hands everything staged to the worker with one
@@ -28,9 +30,6 @@
 // to finish d, under the service's hand-off mutex, before it pushes d+1's
 // marker, so each slot is read once per close).
 //
-// A sample's engine state and its tsdb series handles share one dense pair
-// slot (ShardEngine::SlotOf): one lookup per sample, not one per map.
-//
 // Checkpoints ride the same way: a checkpoint close marker makes the worker
 // write its pairs to a part file (serve/checkpoint.h) right after it
 // finalizes the day and before it publishes closed_through_, so the part is
@@ -50,17 +49,12 @@
 #include "serve/ring.h"
 #include "serve/sample.h"
 #include "serve/verdict.h"
-#include "tsdb/tsdb.h"
 
 namespace manic::serve {
 
 struct IngestShardConfig {
   EngineConfig engine;
   std::size_t ring_capacity = 1 << 14;  // rounded up to a power of two
-  bool store_raw = true;                // keep samples in the shard tsdb
-  // When > 0, raw points older than this horizon (relative to the newest
-  // point, per series) are dropped at every day close.
-  TimeSec retention_horizon_s = 0;
 };
 
 // What a shard's checkpoint close wrote: its part file's size, or a failure
@@ -127,13 +121,10 @@ class IngestShard {
   void RestoreClosedThrough(std::int64_t day);
 
   // ---- counters (any thread) -------------------------------------------------
-  // Both advance once per drained run and before each day close is
-  // published, so they may trail the worker briefly but never a closed day.
+  // Advances once per drained run and before each day close is published,
+  // so it may trail the worker briefly but never a closed day.
   std::uint64_t SamplesProcessed() const noexcept {
     return samples_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t RawPoints() const noexcept {
-    return raw_points_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -149,35 +140,14 @@ class IngestShard {
     std::int64_t day = 0;
   };
 
-  // A pair's raw series, opened on the first sample of each kind.
-  struct SeriesHandles {
-    tsdb::Database::SeriesHandle far, near, loss;
-    tsdb::Database::SeriesHandle& For(SampleKind kind) {
-      switch (kind) {
-        case SampleKind::kFarRtt:
-        case SampleKind::kFarMissing:
-          return far;
-        case SampleKind::kNearRtt:
-        case SampleKind::kNearMissing:
-          return near;
-        case SampleKind::kLossRate:
-          break;
-      }
-      return loss;
-    }
-  };
-
   void WorkerLoop();
-  // Moves the worker's run-local counts into the shared counters.
+  // Moves the worker's run-local count into the shared counter.
   void PublishCounts();
   // The worker's kCloseDay handler: close the engine day, deposit, write the
   // checkpoint part when asked, publish.
   void FinalizeDay(std::int64_t day, bool checkpoint);
   CheckpointPart WriteCheckpointPart() const;
-  void Store(ShardEngine::PairSlot slot, const Sample& s);
-  tsdb::Database::SeriesHandle OpenSeries(const Sample& s);
 
-  IngestShardConfig config_;
   SpscRing<Msg> ring_;
   std::thread worker_;
   bool running_ = false;
@@ -185,10 +155,7 @@ class IngestShard {
   // Worker-owned state; the collector reads the deposit slots only after
   // the closed_through_ acquire/release handshake.
   ShardEngine engine_;
-  tsdb::Database db_;
-  std::vector<SeriesHandles> handles_;  // by engine pair slot
-  std::uint64_t run_samples_ = 0;      // not yet in samples_
-  std::uint64_t run_raw_points_ = 0;   // not yet in raw_points_
+  std::uint64_t run_samples_ = 0;  // not yet in samples_
   std::vector<VerdictRecord> day_verdicts_;
   // Checkpoint request (producer-written before the marker's ring publish)
   // and result (worker-written before the closed_through_ release).
@@ -198,14 +165,11 @@ class IngestShard {
   CheckpointPart checkpoint_part_;
 
   // closed_through_ is the collector-vs-worker handshake line; the stat
-  // counters live on their own line (they may share it with each other —
-  // both are worker-written, see `same-line` in tools/manic_lint/layout.txt)
-  // so worker counter bumps never invalidate the line the collector spins
-  // on.
+  // counter lives on its own line so worker counter bumps never invalidate
+  // the line the collector spins on.
   alignas(64) std::atomic<std::int64_t> closed_through_{
       std::numeric_limits<std::int64_t>::min()};
   alignas(64) std::atomic<std::uint64_t> samples_{0};
-  std::atomic<std::uint64_t> raw_points_{0};
 };
 
 }  // namespace manic::serve

@@ -4,7 +4,7 @@
 // RTT kinds into 15-minute minimum bins, missing markers keep the
 // probed-but-unanswered bookkeeping the DataQuality grade needs
 // (tsdb::Database::WriteMissing semantics), and loss-rate samples are
-// retained in the raw store only.
+// counted only.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,10 @@ enum class SampleKind : std::uint8_t {
   kNearRtt = 1,      // near-side TSLP RTT, value in milliseconds
   kFarMissing = 2,   // far slot probed, nothing came back (value unused)
   kNearMissing = 3,  // near slot probed, nothing came back (value unused)
-  kLossRate = 4,     // loss-probe rate, value as a fraction in [0, 1]
+  // Loss-probe rate, value as a fraction in [0, 1]. Counted, then dropped:
+  // no verdict reads it, and the service keeps no raw samples. The kind
+  // stays legal on the wire, so removing it would be a protocol change.
+  kLossRate = 4,
 };
 inline constexpr std::uint8_t kMaxSampleKind =
     static_cast<std::uint8_t>(SampleKind::kLossRate);

@@ -24,8 +24,6 @@ CongestionService::CongestionService(ServiceConfig config)
   IngestShardConfig shard_config;
   shard_config.engine = config_.engine;
   shard_config.ring_capacity = config_.ring_capacity;
-  shard_config.store_raw = config_.store_raw;
-  shard_config.retention_horizon_s = config_.retention_horizon_s;
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<IngestShard>(shard_config));
@@ -588,6 +586,12 @@ bool CongestionService::LoadCheckpoint(std::uint32_t first_live,
   if (!manifest.Open(path) ||
       !manifest.ReadExact(CheckpointHeader::kEncodedSize, &buf) ||
       !DecodeCheckpointHeader(buf, &header)) {
+    if (header.version != kCheckpointVersion) {
+      *error = "checkpoint " + path + " has version " +
+               std::to_string(header.version) + "; this build reads version " +
+               std::to_string(kCheckpointVersion);
+      return false;
+    }
     return fail("bad header");
   }
   // Shard parts are bounded by the service's own shard limit.
@@ -769,13 +773,18 @@ ServiceStats CongestionService::Stats() const {
   stats.samples_late = samples_late_.load(std::memory_order_relaxed);
   stats.samples_rejected = samples_rejected_.load(std::memory_order_relaxed);
   stats.shards = static_cast<std::uint32_t>(shards_.size());
-  for (const auto& shard : shards_) stats.raw_points += shard->RawPoints();
   runtime::MutexLock lock(mu_);
   stats.verdicts = verdict_rows_;
   stats.links = index_.size();
   stats.last_closed_day = last_closed_day_;
   stats.days_closed = days_closed_;
   return stats;
+}
+
+std::uint64_t CongestionService::SamplesProcessed() const {
+  std::uint64_t processed = 0;
+  for (const auto& shard : shards_) processed += shard->SamplesProcessed();
+  return processed;
 }
 
 std::string CongestionService::VerdictLogText() const {

@@ -8,6 +8,11 @@
 // complete link set, the canonical verdict log is byte-identical at ANY
 // shard count — the headline replay guarantee, gated in CI.
 //
+// State: a shard keeps only what verdicts read — each pair's open days and
+// rolling window (serve/engine.h). Raw samples are not stored; the WAL and
+// the checkpoints are the durable record. ServiceStats::raw_points is
+// always 0.
+//
 // Day-close triggers:
 //   stream mode  a submitted sample whose timestamp enters day d+1 closes
 //                day d (the watermark advanced past it);
@@ -83,7 +88,6 @@
 #include "serve/sample.h"
 #include "serve/verdict.h"
 #include "serve/wal.h"
-#include "stats/calendar.h"
 
 namespace manic::serve {
 
@@ -96,14 +100,6 @@ inline constexpr std::int64_t kNoDayClosed =
 // overflow the int day-count casts downstream.
 inline constexpr std::int64_t kMaxAbsSampleDay = 1'000'000;
 
-// The default raw retention horizon: the classifier window (50 days). A
-// verdict reads only the window's bins, never the raw store (only
-// Stats().raw_points does), so this bounds memory and checkpoint size
-// without changing any verdict.
-inline constexpr TimeSec kDefaultRetentionHorizonS =
-    infer::AutocorrConfig{}.window_days * stats::kSecPerDay;
-static_assert(kDefaultRetentionHorizonS == 50 * stats::kSecPerDay);
-
 // Declaration order groups by concern (admission, sharding, durability);
 // the 8 reorderable padding bytes are irrelevant in a one-per-process
 // config struct.
@@ -111,9 +107,6 @@ static_assert(kDefaultRetentionHorizonS == 50 * stats::kSecPerDay);
 struct ServiceConfig {
   EngineConfig engine;
   std::size_t ring_capacity = 1 << 14;
-  // Raw points older than this (per series, before its newest point) are
-  // dropped at each day close; 0 = keep every raw point.
-  TimeSec retention_horizon_s = kDefaultRetentionHorizonS;
   // Live-mode event clock for PollClock(); leave null for pure stream mode
   // (replay), where day boundaries come from sample timestamps only.
   runtime::Clock* clock = nullptr;
@@ -123,7 +116,6 @@ struct ServiceConfig {
   // most this many days per accepted sample.
   std::int64_t max_day_jump = 366;
   int shards = 1;
-  bool store_raw = true;
   // Crash safety: when non-empty, every consumed sample and day close is
   // appended to the write-ahead log under this directory before it is
   // acknowledged, and RecoverFromWal() replays the log on startup so the
@@ -214,6 +206,10 @@ class CongestionService {
   std::optional<VerdictRecord> QueryPoint(topo::LinkId link, TimeSec t) const;
   std::optional<infer::DataQuality> QueryQuality(topo::LinkId link) const;
   ServiceStats Stats() const;
+  // Samples the shard workers have taken off their rings in this process
+  // (IngestShard::SamplesProcessed, summed). Trails ingest briefly; never
+  // counts a sample still staged on a ring.
+  std::uint64_t SamplesProcessed() const;
   // The canonical, append-only verdict log (FormatVerdictLine rows, days in
   // close order, links ascending within a day) — what the replay gate diffs.
   // Rendered from the stored rows on each call.

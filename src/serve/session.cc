@@ -1,13 +1,6 @@
 #include "serve/session.h"
 
 namespace manic::serve {
-namespace {
-
-// The decoded-batch capacity a session keeps between frames: far above a
-// pair-day batch (192 samples), far below a frame's worst case.
-constexpr std::size_t kRetainedSamples = std::size_t{1} << 16;
-
-}  // namespace
 
 bool Session::Consume(std::string_view bytes, std::string* out) {
   if (dead_) return false;
@@ -56,9 +49,6 @@ bool Session::Dispatch(MsgType type, std::string_view payload,
         return false;
       }
       const SubmitSummary summary = service_->SubmitBatch(samples_);
-      // A legal frame of one-byte samples decodes to ~4M samples (~100 MB):
-      // reuse an ordinary batch's buffer, never pin an outsized one.
-      if (samples_.capacity() > kRetainedSamples) samples_ = {};
       if (summary.shed != 0) {
         // Degraded (WAL out of space): the shed samples were NOT consumed.
         // Unlike the violations below this keeps the connection — the query

@@ -49,7 +49,8 @@ class Session {
   CongestionService* service_ = nullptr;
   FrameAssembler assembler_;
   // Reused frame by frame, so a steady submit stream allocates nothing per
-  // request once the largest batch has been seen.
+  // request once the largest batch has been seen (at most
+  // kMaxSamplesPerFrame samples, ~6 MB).
   std::string payload_;
   std::vector<Sample> samples_;
   bool hello_done_ = false;

@@ -222,18 +222,20 @@ WalStatus WalWriter::AppendFrame(std::string_view frame,
 }
 
 WalStatus WalWriter::AppendSamples(std::span<const Sample> samples) {
-  // A record larger than kMaxFramePayload would read as corrupt framing and
-  // fail the whole recovery, so a run is written as the records that fit.
-  // Only an in-process SubmitBatch can need more than one: a run off the
-  // wire is a subset of one decoded frame, and a subset re-encodes no
-  // larger (each dropped sample's key, delta and tag bytes cover whatever
-  // its successor pays more).
+  // A record larger than kMaxFramePayload or holding more than
+  // kMaxSamplesPerFrame samples would fail the whole recovery, so a run is
+  // written as the records that fit both. Only an in-process SubmitBatch
+  // can need more than one: a run off the wire is a subset of one decoded
+  // frame, and a subset re-encodes no larger (each dropped sample's key,
+  // delta and tag bytes cover whatever its successor pays more).
   while (!samples.empty()) {
     // frame_buf_ is reused append over append: amortized to zero
     // allocation once the high-water batch size has been seen.
     frame_buf_.clear();
-    const std::size_t encoded =
-        EncodeSubmitBatchTo(samples, &frame_buf_, kMaxFramePayload);
+    const std::size_t encoded = EncodeSubmitBatchTo(
+        samples.first(std::min<std::size_t>(samples.size(),
+                                            kMaxSamplesPerFrame)),
+        &frame_buf_, kMaxFramePayload);
     const WalStatus status = AppendFrame(frame_buf_, nullptr);
     if (status != WalStatus::kOk) return status;
     samples = samples.subspan(encoded);

@@ -158,9 +158,10 @@ class WalWriter {
   // Number of the segment appends land in.
   std::uint32_t segment_index() const noexcept { return next_segment_ - 1; }
 
-  // kSubmitBatch records for the run of consumed samples: one, unless its
-  // encoding passes kMaxFramePayload, when it is split into as many
-  // records as fit. No-op for an empty span.
+  // kSubmitBatch records for the run of consumed samples: one, unless it
+  // holds more than kMaxSamplesPerFrame samples or its encoding passes
+  // kMaxFramePayload, when it is split into as many records as fit. No-op
+  // for an empty span.
   WalStatus AppendSamples(std::span<const Sample> samples);
   // One kFlushAck day-close marker; fsyncs unless the policy is kNone
   // (AppendCloseDeferred, then SyncDeferred on this thread).

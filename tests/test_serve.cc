@@ -404,6 +404,22 @@ TEST(Codec, RejectsMalformedPayloads) {
   }
 }
 
+// A frame may carry at most kMaxSamplesPerFrame samples, however few bytes
+// they take: cap + 1 one-byte samples (key, t and value all unchanged) fit
+// a frame by bytes, but decoding them would allocate for every one.
+TEST(Codec, RefusesABatchOverTheSampleCap) {
+  std::vector<Sample> batch(kMaxSamplesPerFrame);
+  std::vector<Sample> decoded;
+  std::string frame = EncodeSubmitBatch(batch);
+  ASSERT_EQ(frame.size(), 5 + 4 + batch.size());  // one byte a sample
+  ASSERT_TRUE(DecodeSubmitBatch(std::string_view(frame).substr(5), &decoded));
+  EXPECT_EQ(decoded.size(), batch.size());
+  batch.emplace_back();
+  frame = EncodeSubmitBatch(batch);
+  ASSERT_LT(frame.size(), 5 + kMaxFramePayload);
+  EXPECT_FALSE(DecodeSubmitBatch(std::string_view(frame).substr(5), &decoded));
+}
+
 TEST(Codec, EncodeErrorClampsOversizedMessage) {
   // The length field is u16: a longer message must clamp first so the
   // field and the appended bytes agree (else DecodeError always rejects).
@@ -738,7 +754,7 @@ TEST(CongestionService, QueryPlaneSemantics) {
   EXPECT_EQ(stats.shards, 2u);
   EXPECT_EQ(stats.last_closed_day, 9);
   EXPECT_EQ(stats.links, 4u);
-  EXPECT_GT(stats.raw_points, 0u);
+  EXPECT_EQ(stats.raw_points, 0u);  // retired: the service keeps no raw store
   service.Stop();
 }
 
@@ -829,26 +845,6 @@ TEST(CongestionService, ManualClockClosesDaysInLiveMode) {
   service.PollClock();
   EXPECT_EQ(service.LastClosedDay(), 7);
   service.Stop();
-}
-
-TEST(CongestionService, RetentionTrimsRawPoints) {
-  ServiceConfig unbounded = SmallServiceConfig(1);
-  ServiceConfig bounded = SmallServiceConfig(1);
-  bounded.retention_horizon_s = 2 * stats::kSecPerDay;
-  const std::vector<Sample> stream = SyntheticStream(2, 10);
-  CongestionService a(unbounded), b(bounded);
-  a.Start();
-  b.Start();
-  EXPECT_EQ(a.SubmitBatch(stream).accepted, stream.size());
-  EXPECT_EQ(b.SubmitBatch(stream).accepted, stream.size());
-  a.FinishStream();
-  b.FinishStream();
-  EXPECT_LT(b.Stats().raw_points, a.Stats().raw_points);
-  EXPECT_GT(b.Stats().raw_points, 0u);
-  // Retention never touches verdicts.
-  EXPECT_EQ(a.VerdictLogText(), b.VerdictLogText());
-  a.Stop();
-  b.Stop();
 }
 
 // -------------------------------------------------- ingest admission bounds
@@ -991,13 +987,12 @@ TEST(CongestionService, BatchBoundariesDoNotChangeTheLog) {
   }
 }
 
-// Polls (for at most ~5 s) until the shard workers have stored `expected`
-// raw points; a run left staged on a ring never arrives, and the bounded
-// wait reports it.
-bool RawPointsArrive(const CongestionService& service,
-                     std::uint64_t expected) {
+// Polls (for at most ~5 s) until the shard workers have taken `expected`
+// samples off their rings; a run left staged on a ring never arrives, and
+// the bounded wait reports it.
+bool SamplesArrive(const CongestionService& service, std::uint64_t expected) {
   for (int poll = 0; poll < 5000; ++poll) {
-    if (service.Stats().raw_points == expected) return true;
+    if (service.SamplesProcessed() == expected) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
@@ -1007,11 +1002,7 @@ TEST(CongestionService, SubmitAndRecoveryHandRunsOverWithoutAClose) {
   // Day 0 only: nothing closes, so only the per-call publish can carry the
   // samples to the workers.
   const std::vector<Sample> day0 = SyntheticStream(/*links=*/4, /*days=*/1);
-  std::uint64_t points = 0;
-  for (const Sample& s : day0) {
-    points += s.kind == SampleKind::kFarRtt || s.kind == SampleKind::kNearRtt;
-  }
-  ASSERT_GT(points, 0u);
+  ASSERT_FALSE(day0.empty());
   const std::string wal_dir =
       ::testing::TempDir() + "/manic_serve_handover_wal";
   std::filesystem::remove_all(wal_dir);
@@ -1023,7 +1014,7 @@ TEST(CongestionService, SubmitAndRecoveryHandRunsOverWithoutAClose) {
     service.Start();
     ASSERT_TRUE(service.RecoverFromWal().ok);  // empty log: opens a segment
     EXPECT_EQ(service.SubmitBatch(day0).accepted, day0.size());
-    EXPECT_TRUE(RawPointsArrive(service, points))
+    EXPECT_TRUE(SamplesArrive(service, day0.size()))
         << "SubmitBatch returned with samples still staged";
     EXPECT_EQ(service.LastClosedDay(), kNoDayClosed);
     ASSERT_EQ(service.CloseWalClean(), WalStatus::kOk);
@@ -1035,7 +1026,7 @@ TEST(CongestionService, SubmitAndRecoveryHandRunsOverWithoutAClose) {
     const WalRecoverStats stats = recovered.RecoverFromWal();
     ASSERT_TRUE(stats.ok) << stats.error;
     EXPECT_EQ(stats.samples, day0.size());
-    EXPECT_TRUE(RawPointsArrive(recovered, points))
+    EXPECT_TRUE(SamplesArrive(recovered, day0.size()))
         << "RecoverFromWal returned with replayed samples still staged";
     EXPECT_EQ(recovered.LastClosedDay(), kNoDayClosed);
     recovered.Stop();
@@ -1313,6 +1304,34 @@ TEST(TcpDaemon, ShedsClientWhoseOutboxExceedsTheCap) {
     BlockingClient fresh;
     ASSERT_TRUE(fresh.Connect(daemon.port()));
     EXPECT_TRUE(fresh.QueryStats().has_value());
+  }
+  daemon.Shutdown();
+  loop.join();
+  service.Stop();
+}
+
+// The client refuses a batch over the sample cap without sending it (the
+// daemon would drop the connection), so the connection stays usable.
+TEST(TcpDaemon, ClientRefusesABatchOverTheSampleCap) {
+  CongestionService service(SmallServiceConfig(1));
+  service.Start();
+  TcpDaemon daemon(&service);
+  ASSERT_TRUE(daemon.Listen(0));
+  std::thread loop([&] { daemon.Run(); });
+  {
+    // EXPECT, not ASSERT: the daemon loop must still be joined below.
+    BlockingClient client;
+    EXPECT_TRUE(client.Connect(daemon.port()));
+    const std::vector<Sample> over(kMaxSamplesPerFrame + 1);
+    EXPECT_FALSE(client.Submit(over));
+    EXPECT_EQ(client.last_error(), ClientError::kProtocol);
+    const std::vector<Sample> day0 = SyntheticStream(/*links=*/2, /*days=*/1);
+    EXPECT_TRUE(client.Submit(day0));
+    const auto stats = client.QueryStats();
+    EXPECT_TRUE(stats.has_value());
+    if (stats) {
+      EXPECT_EQ(stats->samples, day0.size());
+    }
   }
   daemon.Shutdown();
   loop.join();

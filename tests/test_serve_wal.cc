@@ -915,6 +915,79 @@ TEST(ServiceWal, OversizedInProcessBatchRecovers) {
   }
 }
 
+// An in-process SubmitBatch may also carry more samples than one frame may
+// hold (kMaxSamplesPerFrame) while its bytes fit a frame. The WAL splits
+// such a run by count too, since recovery refuses a record over the cap,
+// and a restart replays it into the verdicts of an uncrashed run.
+TEST(ServiceWal, InProcessBatchOverTheSampleCapRecovers) {
+  constexpr std::int64_t kDay = 40;
+  // cap + 1 RTTs of day kDay on eight links, one link after another.
+  std::vector<Sample> big;
+  for (std::uint32_t i = 0; i <= kMaxSamplesPerFrame; ++i) {
+    Sample s = MakeSample(kDay, static_cast<int>(i / 2 % 24),
+                          static_cast<topo::LinkId>(1 + i / 32769), 1,
+                          i % 2 == 0 ? SampleKind::kFarRtt
+                                     : SampleKind::kNearRtt);
+    s.value += static_cast<float>(i % 1000) * 0.001f;
+    big.push_back(s);
+  }
+  ASSERT_LT(EncodeSubmitBatch(big).size(), 5 + kMaxFramePayload);
+  std::vector<Sample> rest;
+  for (std::int64_t day = kDay + 1; day < kDay + 9; ++day) {
+    for (topo::LinkId link = 1; link <= 8; ++link) {
+      for (int slot = 0; slot < 24; ++slot) {
+        rest.push_back(MakeSample(day, slot, link));
+        rest.push_back(MakeSample(day, slot, link, 1, SampleKind::kNearRtt));
+      }
+    }
+  }
+  ServiceConfig plain;
+  plain.shards = 2;
+  plain.engine.autocorr = SmallConfig();
+  CongestionService reference(plain);
+  reference.Start();
+  ASSERT_EQ(reference.SubmitBatch(big).accepted, big.size());
+  ASSERT_EQ(reference.SubmitBatch(rest).accepted, rest.size());
+  reference.FinishStream();
+  reference.Stop();
+  const std::string want = reference.VerdictLogText();
+  ASSERT_FALSE(want.empty());
+
+  WalDir dir("svc_over_cap");
+  const std::size_t before_crash = rest.size() / 2;
+  {
+    CongestionService victim(WalServiceConfig(dir.path, 2));
+    ASSERT_TRUE(victim.RecoverFromWal().ok);
+    ASSERT_EQ(victim.SubmitBatch(big).accepted, big.size());
+    ASSERT_EQ(
+        victim.SubmitBatch(std::span<const Sample>(rest).first(before_crash))
+            .accepted,
+        before_crash);
+    victim.Stop();  // a crash: no CloseWalClean
+  }
+  std::size_t largest = 0;
+  ASSERT_TRUE(ReadWal(
+                  dir.path,
+                  [&](std::span<const Sample> batch) {
+                    largest = std::max(largest, batch.size());
+                  },
+                  [](std::int64_t) {})
+                  .ok);
+  EXPECT_EQ(largest, std::size_t{kMaxSamplesPerFrame});
+  CongestionService recovered(WalServiceConfig(dir.path, 2));
+  const WalRecoverStats stats = recovered.RecoverFromWal();
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.samples, big.size() + before_crash);
+  ASSERT_EQ(
+      recovered.SubmitBatch(std::span<const Sample>(rest).subspan(before_crash))
+          .accepted,
+      rest.size() - before_crash);
+  recovered.FinishStream();
+  recovered.Stop();
+  EXPECT_EQ(recovered.VerdictLogText(), want);
+  EXPECT_EQ(recovered.Stats(), reference.Stats());
+}
+
 // Snapshots what the service has published at every fsync but the
 // directory's. Under kDayClose with the default segment size, the syncs
 // before CloseWalClean are exactly the day-close markers, in day order,
@@ -1886,12 +1959,6 @@ std::map<std::string, std::uintmax_t> DirFiles(const std::string& dir) {
   return files;
 }
 
-std::uint64_t DirBytes(const std::string& dir) {
-  std::uint64_t bytes = 0;
-  for (const auto& [name, size] : DirFiles(dir)) bytes += size;
-  return bytes;
-}
-
 // A fixed-volume stream: `vps` VPs on link 1, every pair-day 24 far and 24
 // near samples (a probed-but-unanswered slot is a marker pair instead), one
 // batch per pair-day.
@@ -1966,7 +2033,7 @@ TEST(CheckpointFormat, HeaderGoldenBytes) {
   EncodeCheckpointHeader(header, out);
   const std::string golden(
       "MANICCK1"                          // magic
-      "\x01\x00\x00\x00"                  // version
+      "\x02\x00\x00\x00"                  // version
       "\x07\x00\x00\x00"                  // first_live_segment
       "\x06\x00\x00\x00"                  // parts_tag
       "\x02\x00\x00\x00"                  // parts
@@ -1990,8 +2057,12 @@ TEST(CheckpointFormat, HeaderGoldenBytes) {
   foreign[0] = 'X';
   EXPECT_FALSE(DecodeCheckpointHeader(foreign, &back));
   std::string future = golden;
-  future[8] = '\x02';  // an unknown version
+  future[8] = '\x03';  // an unknown version
   EXPECT_FALSE(DecodeCheckpointHeader(future, &back));
+  EXPECT_EQ(back.version, 3u);
+  std::string v1 = golden;
+  v1[8] = '\x01';  // pair records with a raw section
+  EXPECT_FALSE(DecodeCheckpointHeader(v1, &back));
   EXPECT_FALSE(DecodeCheckpointHeader(golden.substr(1), &back));
 }
 
@@ -2050,9 +2121,49 @@ TEST(ServiceCheckpoint, UncommittedIsIgnoredAndDamagedFailsRecovery) {
   EXPECT_EQ(DirFiles(dir.path), before);
 }
 
+// A version-1 checkpoint (its pair records carried raw series) is refused:
+// recovery fails naming both versions and leaves every file as it was, since
+// the segments the checkpoint covers are gone.
+TEST(ServiceCheckpoint, Version1CheckpointIsRefused) {
+  WalDir dir("ckpt_v1");
+  ServiceConfig config = WalServiceConfig(dir.path, 2);
+  config.wal_segment_bytes = 4096;
+  {
+    CongestionService service(config);
+    ASSERT_TRUE(service.RecoverFromWal().ok);
+    std::vector<Sample> batch;
+    for (std::int64_t day = 0; day < 12; ++day) {
+      for (topo::VpId vp = 1; vp <= 3; ++vp) {
+        PairDayBatch(day, vp, &batch);
+        ASSERT_EQ(service.SubmitBatch(batch).accepted, batch.size());
+      }
+    }
+    ASSERT_GT(service.checkpoint_stats().written, 0u);
+    service.Stop();
+  }
+  const std::uint32_t committed = NewestCheckpoint(dir.path);
+  ASSERT_GT(committed, 0u);
+  {
+    // The header's version field: bytes 8-11, little-endian.
+    std::fstream f(CheckpointPath(dir.path, committed),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.write("\x01\x00\x00\x00", 4);
+  }
+  const std::map<std::string, std::uintmax_t> before = DirFiles(dir.path);
+  CongestionService service(config);
+  const WalRecoverStats stats = service.RecoverFromWal();
+  EXPECT_FALSE(stats.ok);
+  EXPECT_NE(stats.error.find("version 1"), std::string::npos) << stats.error;
+  EXPECT_NE(stats.error.find("version 2"), std::string::npos) << stats.error;
+  EXPECT_EQ(DirFiles(dir.path), before);
+}
+
 // Restart work stays flat with uptime, checked as counts: after 720
-// streamed days, what a restart replays, the log plus checkpoint bytes on
-// disk, and the raw points held are within 10% of their 60-day values.
+// streamed days, what a restart replays, the log plus checkpoint part bytes
+// on disk, and the part bytes alone (the pair state a restart loads) are
+// within 10% of their 60-day values. The manifest grows by exactly 36 bytes
+// per extra verdict row: the verdict history is kept whole.
 // Every day is the same volume, so once the first checkpoint rolls the log
 // the work between checkpoints repeats with a fixed period; the segment
 // size makes that period 11 days, which divides 720 - 60, so both restarts
@@ -2078,8 +2189,10 @@ TEST(ServiceCheckpoint, RestartWorkIsFlatFrom60To720Days) {
                                 (kVps - 1) * frame_bytes(batch.size());
   struct Restart {
     std::uint64_t replayed = 0;
-    std::uint64_t disk = 0;
-    std::uint64_t raw_points = 0;
+    std::uint64_t disk = 0;  // log and parts
+    std::uint64_t part_bytes = 0;
+    std::uint64_t manifest_bytes = 0;
+    std::uint64_t verdicts = 0;
     std::uint64_t checkpoints = 0;
   };
   const auto run = [&](const char* tag, std::int64_t days) {
@@ -2101,13 +2214,24 @@ TEST(ServiceCheckpoint, RestartWorkIsFlatFrom60To720Days) {
       r.checkpoints = service.checkpoint_stats().written;
       service.Stop();  // a crash: the restart replays the tail
     }
-    r.disk = DirBytes(dir.path);
+    // Each commit retires the checkpoint before it, so every checkpoint
+    // file on disk is the newest checkpoint's.
+    for (const auto& [name, bytes] : DirFiles(dir.path)) {
+      if (name.rfind("ckpt-", 0) != 0) {
+        r.disk += bytes;
+      } else if (name.find(".part-") != std::string::npos) {
+        r.disk += bytes;
+        r.part_bytes += bytes;
+      } else {
+        r.manifest_bytes += bytes;
+      }
+    }
     CongestionService restarted(config);
     const WalRecoverStats stats = restarted.RecoverFromWal();
     EXPECT_TRUE(stats.ok) << stats.error;
     restarted.Stop();
     r.replayed = stats.samples;
-    r.raw_points = restarted.Stats().raw_points;
+    r.verdicts = restarted.Stats().verdicts;
     return r;
   };
   const Restart short_run = run("flat60", 60);
@@ -2123,8 +2247,14 @@ TEST(ServiceCheckpoint, RestartWorkIsFlatFrom60To720Days) {
       << long_run.replayed << " vs " << short_run.replayed;
   EXPECT_TRUE(within_10pct(long_run.disk, short_run.disk))
       << long_run.disk << " vs " << short_run.disk;
-  EXPECT_TRUE(within_10pct(long_run.raw_points, short_run.raw_points))
-      << long_run.raw_points << " vs " << short_run.raw_points;
+  EXPECT_GT(short_run.part_bytes, 0u);
+  EXPECT_TRUE(within_10pct(long_run.part_bytes, short_run.part_bytes))
+      << long_run.part_bytes << " vs " << short_run.part_bytes;
+  // Both restarts sit at the same point of the checkpoint period, so the
+  // rows the manifest gained are the rows the service gained.
+  EXPECT_GT(long_run.verdicts, short_run.verdicts);
+  EXPECT_EQ(long_run.manifest_bytes - short_run.manifest_bytes,
+            36 * (long_run.verdicts - short_run.verdicts));
 }
 
 // Feeds days [from, to) of the PairDayBatch stream, VPs 1..vps.

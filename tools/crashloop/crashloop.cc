@@ -14,8 +14,9 @@
 //            are deleted. After every kill the daemon restarts, recovers
 //            (checkpoint + WAL tail), and the client resumes at the
 //            reported watermark, which must cover every sample acked
-//            before the kill. The final verdict logs must be
-//            byte-identical.
+//            before the kill. Every planned kill must land (a kill point
+//            past the stream's end fails the run), and the final verdict
+//            logs must be byte-identical.
 //
 //   --daemon one incarnation of the service: recover from the WAL, publish
 //            the ephemeral port to a file, serve until SIGTERM (graceful
@@ -24,7 +25,8 @@
 // Everything is seeded (kill plan, torn-byte counts, backoff jitter), so a
 // failing run replays exactly with the same --seed.
 //
-// Exit code 0 = recovered log matches the uncrashed reference byte for byte.
+// Exit code 0 = every planned kill landed and the recovered log matches the
+// uncrashed reference byte for byte.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -139,7 +141,6 @@ int RunDaemon(const Options& opts) {
   ServiceConfig config;
   config.shards = opts.shards;
   config.engine.autocorr = SmallConfig();
-  config.store_raw = false;
   config.wal_dir = opts.wal_dir;
   if (opts.segment_bytes > 0) config.wal_segment_bytes = opts.segment_bytes;
   config.wal_fault_hook = faults ? &*faults : nullptr;
@@ -443,6 +444,15 @@ int RunParent(const Options& opts) {
     }
   }
 
+  // A kill that never landed is coverage the gate silently lost (a format
+  // or cadence change moved the kill points past the stream's end).
+  if (killed < opts.kills) {
+    std::fprintf(stderr,
+                 "crashloop: FAIL — only %d of %d planned kills landed\n",
+                 killed, opts.kills);
+    return 1;
+  }
+
   // 3. Final crash-free incarnation: recover, finish, drain.
   if (!RunToCompletion(opts, stream, offset, opts.kills + 1, torture_wal,
                        port_file, torture_log)) {
@@ -464,9 +474,9 @@ int RunParent(const Options& opts) {
     return 1;
   }
   std::printf(
-      "crashloop: OK — %d kills survived (%d landed), %zu samples, %d shards, "
+      "crashloop: OK — %d kills survived, %zu samples, %d shards, "
       "verdict log byte-identical (%zu bytes)\n",
-      opts.kills, killed, stream.size(), opts.shards, reference->size());
+      killed, stream.size(), opts.shards, reference->size());
   return 0;
 }
 

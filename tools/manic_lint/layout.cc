@@ -30,11 +30,6 @@ bool ControlWord(std::string_view s) {
   return kWords.count(s) > 0;
 }
 
-bool IsCallHead(const std::vector<Token>& toks, std::size_t i) {
-  return IsIdent(toks[i]) && i + 1 < toks.size() &&
-         IsPunct(toks[i + 1], "(") && !ControlWord(toks[i].text);
-}
-
 // `ident(` or `ident<...>(`: explicit template arguments are part of the
 // call head, so `make_unique<Item>(...)` is still a call to make_unique.
 // A lone `<` that never closes before `;`/`{` is a comparison, not a
