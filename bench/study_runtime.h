@@ -5,9 +5,10 @@
 // metrics report goes to stderr AFTER the tables, so stdout stays
 // byte-identical across thread counts:
 //
-//   MANIC_THREADS=1 ./bench/table3_overview > serial.txt
-//   MANIC_THREADS=8 ./bench/table3_overview > parallel.txt
-//   diff serial.txt parallel.txt        # empty by the determinism contract
+//   MANIC_THREADS=1 ./bench/table3_overview > t1.txt
+//   MANIC_THREADS=8 ./bench/table3_overview > t8.txt
+//   diff t1.txt t8.txt        # empty by the determinism contract, and both
+//                             # equal tests/golden/table3_overview.txt
 //
 // When MANIC_RUNTIME_JSON names a file, one JSON line of wall/CPU phase
 // times and pool counters is appended per run (scripts/check.sh uses this to

@@ -36,6 +36,7 @@ int main() {
   const analysis::LinkInference inference =
       analysis::InferLink(db, "vp-nyc", far, 0, 50);
   const analysis::LinkGrids grids = analysis::LoadGrids(db, "vp-nyc", far, 0, 50);
+  const double near_min = analysis::GridMin(grids.near);
   std::printf("Autocorrelation over 50 days: recurring=%s, window %02d:%02d "
               "UTC + %d x 15 min\n\n",
               inference.result.recurring ? "YES" : "no",
@@ -89,7 +90,8 @@ int main() {
   for (sim::TimeSec t = 0; t < 14 * 86400; t += 3600) {
     const auto r = ndt.RunTest({"srv", nyc_dest(0x4E44), 200}, t);
     if (!r.ok) continue;
-    (inference.IntervalCongested(t, grids.far, grids.near) ? down_c : down_u)
+    (inference.IntervalCongested(t, grids.far, grids.near, near_min) ? down_c
+                                                                     : down_u)
         .push_back(r.download_mbps);
   }
   const auto ttest = stats::WelchTTest(down_u, down_c);
@@ -106,7 +108,8 @@ int main() {
   int onn_c = 0, onn_u = 0;
   for (sim::TimeSec t = 0; t < 14 * 86400; t += 2 * 3600) {
     const auto r = yt.Stream(nyc_dest(0x5954), {}, t);
-    const bool congested = inference.IntervalCongested(t, grids.far, grids.near);
+    const bool congested =
+        inference.IntervalCongested(t, grids.far, grids.near, near_min);
     if (congested) {
       ++n_c;
       fail_c += r.failed;

@@ -13,9 +13,11 @@
 # perfbench is called, never edited: each side builds its own harness from
 # its own sources into its own .bench_build/.
 #
-# Prints, for every metric the runs report: the base's median and
-# quartiles, the change's median, the median shift, and the pairs the
-# change won and lost (better or worse in the metric's declared direction;
+# Every run's result JSON is kept, with its side, pair and seed, in
+# build/ab-<workload>-<first-seed>.json (rewritten after each pair, so an
+# interrupted A/B keeps its finished pairs); the path is printed. Prints,
+# for every metric the runs report: the base's median and quartiles, the
+# change's median, the median shift, and the pairs the change won and lost (better or worse in the metric's declared direction;
 # a tie is neither). Exits 1 when any run fails its own output checks, when
 # the change's failed share of operations is larger than the base's, or
 # when an end-to-end metric of BENCHMARK.json worsens, median against
@@ -71,13 +73,20 @@ def run(tree, seed):
 
 
 results = {"base": [], "change": []}
+runs_path = os.path.join(root, "build", f"ab-{workload}-{first_seed}.json")
+kept = []
 for i in range(pairs):
     seed = first_seed + i
     order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
     for side in order:
-        results[side].append(run(base_tree if side == "base" else root, seed))
+        result = run(base_tree if side == "base" else root, seed)
+        results[side].append(result)
+        kept.append({"side": side, "pair": i, "seed": seed, "result": result})
+    with open(runs_path, "w") as f:
+        json.dump(kept, f, indent=1)
     print(f"pair {i + 1}/{pairs} (seed {seed}, {order[0]} first) done",
           file=sys.stderr)
+print(f"every run's result: {runs_path}")
 
 
 def quartiles(xs):

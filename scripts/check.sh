@@ -1,18 +1,28 @@
 #!/usr/bin/env bash
-# Full verification sweep, six stages:
-#   1. default build (warnings are errors) + the whole ctest suite;
-#   2. the parallel-determinism gate: bench/table3_overview at 1 thread and
-#      at N threads must write byte-identical stdout (the runtime metrics
-#      report goes to stderr), with both wall times recorded as JSON lines;
+# Full verification sweep, six stages. The committed outputs under
+# tests/golden/ (see its README) are the oracle of stages 2-4: a change
+# that moves any study output fails here even when it moves every thread
+# count and shard count the same way.
+#   1. default build (warnings are errors) + the whole ctest suite (its
+#      StudyDeterminism tests diff the mini study against
+#      tests/golden/mini_study.txt);
+#   2. the determinism + golden gate: scripts/golden_gate.sh runs the 13
+#      experiment binaries at N threads and diffs each stdout against its
+#      golden, then bench/table3_overview runs at 1 thread and must write
+#      the same bytes (the runtime metrics report goes to stderr; wall/CPU
+#      times are recorded as JSON lines);
 #   3. the chaos gate: examples/continental_study under the canned fault
 #      plan (examples/fault_plans/small_chaos.plan) at 1 thread and at N
 #      threads — fault injection must not cost the bit-identical-replay
-#      property, so the two stdouts are diffed byte for byte;
+#      property, so the two stdouts are diffed byte for byte, and against
+#      tests/golden/chaos_study.txt;
 #   4. the serving-plane gate: the daemon smoke (example_serve_quickstart
 #      end to end over a loopback socket), the replay-determinism gate
 #      (continental study in --serve mode at 1 vs 4 ingest shards under the
-#      chaos plan — batch/live parity must hold and the two verdict logs
-#      and stdouts must be byte-identical), the crash-recovery gate
+#      chaos plan — batch/live parity must hold, the two stdouts must be
+#      byte-identical and equal tests/golden/serve_study.txt, and both
+#      verdict logs must hash to tests/golden/serve_verdicts.sha256), the
+#      crash-recovery gate
 #      (tools/crashloop kills the daemon at 10 seeded points — SIGKILL
 #      mid-stream and torn WAL appends — restarts and recovers each time,
 #      at 1 and at 4 ingest shards; every recovered verdict log must be
@@ -88,19 +98,19 @@ cmake -B build -S . -DMANIC_WARNINGS_AS_ERRORS=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-stage "[2/6] determinism gate: table3_overview at 1 vs $THREADS threads"
-JSON="$OUT_DIR/table3_runtime.json"
+stage "[2/6] determinism + golden gate: 13 experiment stdouts vs tests/golden/, table3_overview at 1 vs $THREADS threads"
+JSON="$OUT_DIR/study_runtime.json"
 : > "$JSON"
+MANIC_THREADS="$THREADS" MANIC_RUNTIME_JSON="$JSON" \
+  scripts/golden_gate.sh "$OUT_DIR/golden"
 MANIC_THREADS=1 MANIC_RUNTIME_JSON="$JSON" \
   ./build/bench/table3_overview > "$OUT_DIR/table3_t1.txt" 2> "$OUT_DIR/table3_t1.err"
-MANIC_THREADS="$THREADS" MANIC_RUNTIME_JSON="$JSON" \
-  ./build/bench/table3_overview > "$OUT_DIR/table3_tN.txt" 2> "$OUT_DIR/table3_tN.err"
-if ! diff -u "$OUT_DIR/table3_t1.txt" "$OUT_DIR/table3_tN.txt"; then
+if ! diff -u "$OUT_DIR/golden/table3_overview.txt" "$OUT_DIR/table3_t1.txt"; then
   echo "FAIL: table3_overview stdout differs between 1 and $THREADS threads" >&2
   exit 1
 fi
-echo "stdout byte-identical at 1 and $THREADS threads."
-echo "wall/CPU records (also in $JSON):"
+echo "table3_overview stdout byte-identical at 1 and $THREADS threads."
+echo "wall/CPU records of the study benches (also in $JSON):"
 cat "$JSON"
 
 stage "[3/6] chaos gate: continental study under small_chaos.plan, 1 vs $THREADS threads"
@@ -113,7 +123,11 @@ if ! diff -u "$OUT_DIR/chaos_t1.txt" "$OUT_DIR/chaos_tN.txt"; then
   echo "FAIL: faulted study stdout differs between 1 and $THREADS threads" >&2
   exit 1
 fi
-echo "faulted study stdout byte-identical at 1 and $THREADS threads."
+if ! diff -u tests/golden/chaos_study.txt "$OUT_DIR/chaos_t1.txt"; then
+  echo "FAIL: faulted study stdout differs from tests/golden/chaos_study.txt" >&2
+  exit 1
+fi
+echo "faulted study stdout byte-identical at 1 and $THREADS threads, and to its golden."
 
 stage "[4/6] serving plane: daemon smoke, replay determinism, perf gate, perfbench smoke"
 ./build/examples/example_serve_quickstart > "$OUT_DIR/serve_quickstart.txt" \
@@ -139,7 +153,19 @@ if ! diff -u "$OUT_DIR/serve_s1.txt" "$OUT_DIR/serve_s4.txt"; then
 fi
 grep -q "parity: OK" "$OUT_DIR/serve_s1.txt" || {
   echo "FAIL: batch/live parity check did not pass" >&2; exit 1; }
-echo "replay determinism OK: verdict log byte-identical at 1 and 4 shards, batch/live parity holds."
+if ! diff -u tests/golden/serve_study.txt "$OUT_DIR/serve_s1.txt"; then
+  echo "FAIL: --serve stdout differs from tests/golden/serve_study.txt" >&2
+  exit 1
+fi
+# The log is too large to commit (~226 KB); its digest is the golden.
+for log in "$OUT_DIR/serve_verdicts_s1.log" "$OUT_DIR/serve_verdicts_s4.log"; do
+  if [ "$(sha256sum < "$log" | cut -d' ' -f1)" != \
+       "$(cat tests/golden/serve_verdicts.sha256)" ]; then
+    echo "FAIL: $log does not hash to tests/golden/serve_verdicts.sha256" >&2
+    exit 1
+  fi
+done
+echo "replay determinism OK: verdict log byte-identical at 1 and 4 shards and to its golden digest, batch/live parity holds."
 # Crash-recovery gate: seeded kills (SIGKILL mid-stream + torn WAL appends),
 # each incarnation recovers from the WAL and resumes from the watermark; the
 # final verdict log must match an uncrashed reference byte for byte, and the

@@ -4,8 +4,22 @@
 
 namespace manic::analysis {
 
+double GridMin(const infer::DayGrid& grid) {
+  double min = 1e18;
+  for (int d = 0; d < grid.days(); ++d) {
+    for (int s = 0; s < grid.intervals(); ++s) {
+      const float v = grid.At(d, s);
+      if (!infer::DayGrid::Missing(v)) {
+        min = std::min(min, static_cast<double>(v));
+      }
+    }
+  }
+  return min;
+}
+
 bool LinkInference::IntervalCongested(TimeSec t, const infer::DayGrid& far,
-                                      const infer::DayGrid& near) const {
+                                      const infer::DayGrid& near,
+                                      double near_min) const {
   if (!result.recurring) return false;
   const TimeSec rel = t - t0;
   if (rel < 0) return false;
@@ -21,15 +35,6 @@ bool LinkInference::IntervalCongested(TimeSec t, const infer::DayGrid& far,
   }
   const float nv = near.At(day, interval);
   // Near-side elevation excludes the interval (§4.2).
-  double near_min = 1e18;
-  for (int d = 0; d < near.days(); ++d) {
-    for (int s = 0; s < near.intervals(); ++s) {
-      const float v = near.At(d, s);
-      if (!infer::DayGrid::Missing(v)) {
-        near_min = std::min(near_min, static_cast<double>(v));
-      }
-    }
-  }
   if (!infer::DayGrid::Missing(nv) &&
       nv > static_cast<float>(near_min + config.elevation_ms)) {
     return false;

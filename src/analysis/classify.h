@@ -33,15 +33,20 @@ struct LinkInference {
 
   // True when `t` falls in a 15-minute interval classified congested: the
   // link shows recurring congestion, t lies inside the recurring window,
-  // and that day actually contributed elevation.
+  // and that day actually contributed elevation. `near_min` is
+  // GridMin(near), computed once per grid by the caller.
   bool IntervalCongested(TimeSec t, const infer::DayGrid& far,
-                         const infer::DayGrid& near) const;
+                         const infer::DayGrid& near, double near_min) const;
 
   // Convenience: same decision using only day/window membership and the
   // day's congested flag (no per-interval elevation check). Coarser; used
   // where the paper aggregates per-day.
   bool DayCongested(TimeSec t) const;
 };
+
+// Smallest present value in `grid` (1e18 when every bin is missing): the
+// baseline of IntervalCongested's near-side exclusion.
+double GridMin(const infer::DayGrid& grid);
 
 // Loads the far/near grids for one (vp, link far address) from `db`.
 struct LinkGrids {

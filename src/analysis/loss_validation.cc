@@ -72,9 +72,10 @@ MonthLinkResult EvaluateMonthLink(const tsdb::Database& db,
   long long cong_lost = 0, cong_trials = 0;
   long long uncong_lost = 0, uncong_trials = 0;
   long long near_cong_lost = 0, near_cong_trials = 0;
+  const double near_min = GridMin(near_grid);
   for (const auto& p : far_loss.points()) {
     const long long lost = std::llround(p.value / 100.0 * probes_per_window);
-    if (inference.IntervalCongested(p.t, far_grid, near_grid)) {
+    if (inference.IntervalCongested(p.t, far_grid, near_grid, near_min)) {
       cong_lost += lost;
       cong_trials += probes_per_window;
       ++result.congested_windows;
@@ -85,7 +86,7 @@ MonthLinkResult EvaluateMonthLink(const tsdb::Database& db,
     }
   }
   for (const auto& p : near_loss.points()) {
-    if (inference.IntervalCongested(p.t, far_grid, near_grid)) {
+    if (inference.IntervalCongested(p.t, far_grid, near_grid, near_min)) {
       near_cong_lost += std::llround(p.value / 100.0 * probes_per_window);
       near_cong_trials += probes_per_window;
     }

@@ -21,8 +21,8 @@ namespace manic::runtime {
 
 // Knobs for parallel study execution, carried inside scenario::StudyOptions.
 struct RuntimeOptions {
-  // 1 = the serial reference path (no pool); 0 = hardware_concurrency;
-  // N > 1 = sharded execution on N workers.
+  // N >= 1 = N pool workers, and the calling thread helps run shards;
+  // 0 = hardware_concurrency.
   int threads = 1;
   // Shard granularity: 0 = one shard per (VP, link) pair spanning the whole
   // study window; N > 0 = additionally split each pair into N-month chunks

@@ -142,26 +142,6 @@ struct VpLink {
   bool is_comcast = false;
 };
 
-// The per-pair data-quality bookkeeping now lives in infer/streaming.h so
-// the serving plane's incremental engine can share it; the driver keeps only
-// the fold over pairs. Pairs that never produced a post-warmup row are
-// skipped, so `link_quality` only covers measured links.
-using QualityTally = infer::QualityTally;
-
-void FoldLinkQuality(const std::vector<VpLink>& pairs,
-                     const std::vector<QualityTally>& tallies, int days,
-                     StudyResult& result) {
-  std::map<topo::LinkId, infer::LinkQualityAccumulator> by_link;
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    const QualityTally& t = tallies[p];
-    if (t.far_total == 0) continue;
-    by_link[pairs[p].info->link].Add(t);
-  }
-  for (const auto& [link, acc] : by_link) {
-    result.link_quality[link] = acc.Finish(days);
-  }
-}
-
 // Discovery: bdrmap per VP, visibility churn, TSLP synthesizer setup. Runs
 // serially (probing mutates the network's RNG and path cache); the noise
 // seeds are derived from the root SeedTree by stable (vp, link) keys so the
@@ -217,6 +197,39 @@ std::vector<VpLink> DiscoverPairs(UsBroadband& world,
   return pairs;
 }
 
+// The setup RunLongitudinalStudy and ExportStudyStream share, so that the
+// exported rows carry the batch run's exact fault effects. The fault hook is
+// installed for the setup's lifetime, discovery included (a plan scheduling
+// events before day 0 degrades bdrmap too), and removed when it ends. The
+// injector's queries are pure functions of (plan, seed, arguments), so a
+// faulted study stays bit-identical at any thread count.
+struct StudySetup {
+  StudySetup(UsBroadband& world, const StudyOptions& options)
+      : net(*world.net),
+        days(options.days > 0 ? options.days
+                              : static_cast<int>(stats::StudyTotalDays())),
+        warmup(options.warmup_days) {
+    if (options.fault_plan != nullptr) {
+      injector.emplace(*options.fault_plan,
+                       runtime::SeedTree(options.seed).Child("faults"));
+      net.SetFaultHook(&*injector);
+    }
+    pairs = DiscoverPairs(world, options, days, warmup, observed_links);
+  }
+  ~StudySetup() {
+    if (injector.has_value()) net.SetFaultHook(nullptr);
+  }
+  StudySetup(const StudySetup&) = delete;
+  StudySetup& operator=(const StudySetup&) = delete;
+
+  sim::SimNetwork& net;
+  const int days = 0;
+  const int warmup = 0;
+  std::optional<sim::faults::FaultInjector> injector;
+  std::set<topo::LinkId> observed_links;
+  std::vector<VpLink> pairs;
+};
+
 // Fig 9 (Comcast, calendar year 2017): congested 15-minute intervals by
 // VP-local hour, plus the consolidated panel in Pacific time. Eligibility is
 // checked separately so callers only materialize a per-VP histogram map
@@ -260,106 +273,22 @@ void Notify(const StudyOptions& options, const char* phase, std::size_t done,
   if (options.progress) options.progress({phase, done, total});
 }
 
-// ---- the serial reference path ---------------------------------------------
-// Day-outer, pair-inner — kept verbatim as the arithmetic specification the
-// sharded path must reproduce bit-for-bit (tested in test_runtime.cc).
-void RunDailyLoopSerial(UsBroadband& world, const StudyOptions& options,
-                        std::vector<VpLink>& pairs, int days, int warmup,
-                        StudyResult& result) {
-  sim::SimNetwork& net = *world.net;
-  const int intervals =
-      static_cast<int>(kSecPerDay / options.autocorr.bin_width);
-
-  std::vector<infer::RollingAutocorr> rolling(
-      pairs.size(), infer::RollingAutocorr(options.autocorr));
-  std::vector<QualityTally> quality(pairs.size());
-  std::vector<float> far_row, near_row;
-  // Per link, per day: merged congestion fractions from asserting VPs.
-  std::map<topo::LinkId, std::pair<double, int>> today;  // sum, contributors
-  std::map<topo::LinkId, bool> today_observed;
-
-  // Link-population bookkeeping (per access ISP).
-  const std::int64_t final_month_start =
-      days - stats::DaysInStudyMonth(stats::StudyMonthOfDay(days - 1));
-  std::map<topo::LinkId, const InterLinkInfo*> seen_ever, seen_final;
-
-  for (std::int64_t day = -warmup; day < days; ++day) {
-    today.clear();
-    today_observed.clear();
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      VpLink& pair = pairs[p];
-      if (day < pair.visible_from || day >= pair.visible_until) continue;
-      pair.synth.Day(day, far_row, near_row);
-      rolling[p].AddDay(far_row, near_row);
-      if (day >= 0) quality[p].AddDay(far_row, near_row);
-      if (day < 0 || !rolling[p].WindowFull()) continue;
-      today_observed[pair.info->link] = true;
-      seen_ever.emplace(pair.info->link, pair.info);
-      if (day >= final_month_start) {
-        seen_final.emplace(pair.info->link, pair.info);
-      }
-      const infer::DayClassification cls = rolling[p].Classify();
-      if (cls.recurring) {
-        auto& slot = today[pair.info->link];
-        slot.first += cls.fraction;
-        slot.second += 1;
-      }
-      if (Fig9Eligible(pair, cls, day)) {
-        AddFig9Intervals(pair, cls, day, options.autocorr.bin_width,
-                         result.comcast_vp_hists[pair.vp_name],
-                         result.comcast_consolidated);
-      }
-    }
-    Notify(options, "classify", static_cast<std::size_t>(day + warmup) + 1,
-           static_cast<std::size_t>(days + warmup));
-    if (day < 0) continue;
-
-    for (const auto& [link, seen] : today_observed) {
-      const InterLinkInfo* info = world.FindLink(link);
-      const auto it = today.find(link);
-      const double fraction =
-          it == today.end() || it->second.second == 0
-              ? 0.0
-              : it->second.first / static_cast<double>(it->second.second);
-      const analysis::DayLinkRecord record{day,       link,     info->access,
-                                           info->tcp, fraction, true};
-      result.day_links.Add(record);
-      if (options.on_day_link) options.on_day_link(record);
-
-      // Ground-truth comparison at the day-link level (links without demand
-      // models are never truly congested).
-      const bool truly_congested =
-          info->scheduled_congested &&
-          TrulyCongestedDay(net, link, day, intervals,
-                            options.autocorr.bin_width);
-      const bool inferred = fraction >= analysis::kDayLinkThreshold;
-      if (truly_congested && inferred) ++result.truth_tp;
-      if (truly_congested && !inferred) ++result.truth_fn;
-      if (!truly_congested && inferred) ++result.truth_fp;
-      if (!truly_congested && !inferred) ++result.truth_tn;
-    }
-  }
-  for (const auto& [link, info] : seen_ever) {
-    ++result.links_ever_by_access[info->access];
-  }
-  for (const auto& [link, info] : seen_final) {
-    ++result.links_final_month_by_access[info->access];
-  }
-  FoldLinkQuality(pairs, quality, days, result);
-}
-
-// ---- the sharded path -------------------------------------------------------
+// ---- the daily loop ---------------------------------------------------------
 // Shard = one (VP, link) pair, optionally split into month-sized day chunks.
 // Each shard synthesizes and classifies its own day range into a private
 // buffer (replaying up to window_days - 1 preceding days to warm the rolling
 // window, whose state is a pure function of its last window_days inputs);
-// buffers are folded in (pair, chunk) key order, which reproduces the serial
-// loop's floating-point accumulation order exactly.
+// buffers are folded in (pair, chunk) key order, so the floating-point
+// accumulation order is a function of the keys alone, never of scheduling,
+// thread count or shard granularity.
 
 struct DayOutcome {
   bool recurring = false;
   double fraction = 0.0;
 };
+// The per-pair data-quality bookkeeping lives in infer/streaming.h so the
+// serving plane's incremental engine can share it.
+using QualityTally = infer::QualityTally;
 struct PairOut {
   std::int64_t emit_start = 0;
   std::vector<DayOutcome> days;
@@ -367,6 +296,22 @@ struct PairOut {
   analysis::TimeOfDayHistogram pacific_hist;
   QualityTally quality;
 };
+
+// Pairs that never produced a post-warmup row are skipped, so
+// `link_quality` only covers measured links.
+void FoldLinkQuality(const std::vector<VpLink>& pairs,
+                     const std::vector<PairOut>& merged, int days,
+                     StudyResult& result) {
+  std::map<topo::LinkId, infer::LinkQualityAccumulator> by_link;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const QualityTally& t = merged[p].quality;
+    if (t.far_total == 0) continue;
+    by_link[pairs[p].info->link].Add(t);
+  }
+  for (const auto& [link, acc] : by_link) {
+    result.link_quality[link] = acc.Finish(days);
+  }
+}
 
 // Shard checkpoint blobs. Everything is integers or bit-cast doubles, so a
 // restored PairOut is the same bytes the worker produced — resume equals
@@ -453,9 +398,9 @@ bool RestorePairOut(const std::string& blob, PairOut& out) {
   return true;
 }
 
-void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
-                         const std::vector<VpLink>& pairs, int days,
-                         runtime::Metrics& metrics, StudyResult& result) {
+void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
+                  const std::vector<VpLink>& pairs, int days,
+                  runtime::Metrics& metrics, StudyResult& result) {
   sim::SimNetwork& net = *world.net;
   const int intervals =
       static_cast<int>(kSecPerDay / options.autocorr.bin_width);
@@ -542,10 +487,11 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
         checkpoint.has_value() ? &*checkpoint : nullptr, options.watchdog);
   }
 
-  // ---- phase: aggregate (serial, canonical order) --------------------------
-  // Day-outer, pair-inner, link-sorted emission: the exact order of the
-  // serial reference loop, so every floating-point sum associates the same
-  // way and DayLinkTable ingests records identically.
+  // ---- phase: aggregate (calling thread, canonical order) ------------------
+  // Day-outer, pair-inner, link-sorted emission over the key-ordered merge:
+  // every floating-point sum associates the same way at any thread count or
+  // shard granularity, and DayLinkTable ingests records identically. The
+  // order is pinned by the committed outputs under tests/golden/.
   struct TruthTask {
     std::int64_t day = 0;
     topo::LinkId link = 0;
@@ -619,11 +565,7 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
     for (const auto& [link, info] : seen_final) {
       ++result.links_final_month_by_access[info->access];
     }
-    std::vector<QualityTally> tallies(pairs.size());
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      tallies[p] = merged[p].quality;
-    }
-    FoldLinkQuality(pairs, tallies, days, result);
+    FoldLinkQuality(pairs, merged, days, result);
   }
 
   // ---- phase: ground truth (parallel; integer tallies are order-free) ------
@@ -661,81 +603,30 @@ StudyResult RunLongitudinalStudy(UsBroadband& world,
   runtime::Metrics& metrics = options.runtime.metrics != nullptr
                                   ? *options.runtime.metrics
                                   : scratch_metrics;
-  const int threads = options.runtime.ResolvedThreads();
-  metrics.SetThreads(threads);
-
-  const int days =
-      options.days > 0 ? options.days : static_cast<int>(stats::StudyTotalDays());
-  const int warmup = options.warmup_days;
-
-  // Install the fault hook for the whole run (discovery included: a plan
-  // scheduling events before day 0 degrades bdrmap too). The injector's
-  // queries are pure functions of (plan, seed, arguments), so the faulted
-  // study stays bit-identical at any thread count.
-  std::optional<sim::faults::FaultInjector> injector;
-  if (options.fault_plan != nullptr) {
-    injector.emplace(*options.fault_plan,
-                     runtime::SeedTree(options.seed).Child("faults"));
-    world.net->SetFaultHook(&*injector);
-  }
-
-  std::set<topo::LinkId> observed_links;
-  std::vector<VpLink> pairs;
-  {
-    auto timer = metrics.Phase("discover");
-    pairs = DiscoverPairs(world, options, days, warmup, observed_links);
-    Notify(options, "discover", pairs.size(), pairs.size());
-  }
-  result.vp_link_pairs = pairs.size();
-  result.links_observed = observed_links.size();
+  auto discover_timer = metrics.Phase("discover");
+  const StudySetup setup(world, options);
+  discover_timer.Stop();
+  Notify(options, "discover", setup.pairs.size(), setup.pairs.size());
+  result.vp_link_pairs = setup.pairs.size();
+  result.links_observed = setup.observed_links.size();
   result.probes_for_discovery = world.net->ProbesSent();
-
-  // Serial reference path only when nothing needs the shard machinery:
-  // checkpointing and the watchdog both live in the executor, so either one
-  // routes through the sharded path even at one thread (still bit-identical
-  // — that equivalence is what test_runtime.cc pins).
-  const bool serial = threads <= 1 && options.checkpoint_path.empty() &&
-                      options.watchdog.stall_timeout_s <= 0.0;
-  if (serial) {
-    auto timer = metrics.Phase("classify");
-    RunDailyLoopSerial(world, options, pairs, days, warmup, result);
-  } else {
-    RunDailyLoopSharded(world, options, pairs, days, metrics, result);
-  }
-  if (injector.has_value()) world.net->SetFaultHook(nullptr);
+  RunDailyLoop(world, options, setup.pairs, setup.days, metrics, result);
   return result;
 }
 
 void ExportStudyStream(UsBroadband& world, const StudyOptions& options,
                        const StudyStreamFn& fn) {
-  const int days =
-      options.days > 0 ? options.days : static_cast<int>(stats::StudyTotalDays());
-  const int warmup = options.warmup_days;
-
-  // Same fault installation as RunLongitudinalStudy, so the exported rows
-  // carry identical fault effects (discovery degradation included).
-  std::optional<sim::faults::FaultInjector> injector;
-  if (options.fault_plan != nullptr) {
-    injector.emplace(*options.fault_plan,
-                     runtime::SeedTree(options.seed).Child("faults"));
-    world.net->SetFaultHook(&*injector);
-  }
-
-  std::set<topo::LinkId> observed_links;
-  std::vector<VpLink> pairs =
-      DiscoverPairs(world, options, days, warmup, observed_links);
-
+  const StudySetup setup(world, options);
   // Day-major, pair-minor: the daily loop's exact consumption order, so a
   // stream consumer sees day boundaries the way the batch loop does.
   std::vector<float> far_row, near_row;
-  for (std::int64_t day = -warmup; day < days; ++day) {
-    for (const VpLink& pair : pairs) {
+  for (std::int64_t day = -setup.warmup; day < setup.days; ++day) {
+    for (const VpLink& pair : setup.pairs) {
       if (day < pair.visible_from || day >= pair.visible_until) continue;
       pair.synth.Day(day, far_row, near_row);
       fn(pair.vp, pair.info->link, day, far_row, near_row);
     }
   }
-  if (injector.has_value()) world.net->SetFaultHook(nullptr);
 }
 
 }  // namespace manic::scenario

@@ -127,9 +127,10 @@ struct StudyOptions {
   // pairs either appears late or disappears early in the study window,
   // deterministically per (seed, vp, link).
   double churn_fraction = 0.3;
-  // Parallel execution (threads, shard granularity, metrics sink). The
-  // default — threads = 1 — is the serial reference path; any thread count
-  // produces bit-identical results (see README "Parallel execution").
+  // Parallel execution (threads, shard granularity, metrics sink). Every
+  // setting runs the one sharded daily loop, and any thread count or shard
+  // granularity produces bit-identical results, equal to the committed
+  // outputs under tests/golden/ (see README "Parallel execution").
   runtime::RuntimeOptions runtime;
   // Optional progress callback; null = silent.
   StudyProgressFn progress;
@@ -139,12 +140,10 @@ struct StudyOptions {
   // (world, options) regardless of thread count. The plan must outlive the
   // RunLongitudinalStudy call.
   const sim::faults::FaultPlan* fault_plan = nullptr;
-  // Shard checkpoint log (empty = none). A non-empty path forces the
-  // sharded execution path (even at threads = 1) so every shard can be
-  // saved/restored; a killed study resumes from the log byte-identically.
+  // Shard checkpoint log (empty = none). Every shard is saved to it and
+  // restored from it; a killed study resumes from the log byte-identically.
   std::string checkpoint_path;
   // Stall watchdog for the parallel phase (stall_timeout_s = 0 disables).
-  // A non-zero timeout also forces the sharded path.
   runtime::WatchdogOptions watchdog;
   // Optional per-record sink, invoked (from the calling thread, in emission
   // order) for every day-link record as it enters the result table. The

@@ -157,15 +157,16 @@ TEST_F(ClassifyTest, InferLinkFindsRecurringWindow) {
   ASSERT_TRUE(inference.result.recurring);
   EXPECT_NEAR(inference.result.window_start, 80, 2);
   const LinkGrids grids = LoadGrids(db_, "vp1", far_addr_, 0, 50);
+  const double near_min = GridMin(grids.near);
   // Congested interval on an elevated day.
   EXPECT_TRUE(inference.IntervalCongested(86400 * 5 + 85 * 900, grids.far,
-                                          grids.near));
+                                          grids.near, near_min));
   // Same time of day, but on an un-elevated day.
   EXPECT_FALSE(inference.IntervalCongested(86400 * 45 + 85 * 900, grids.far,
-                                           grids.near));
+                                           grids.near, near_min));
   // Outside the window.
   EXPECT_FALSE(inference.IntervalCongested(86400 * 5 + 40 * 900, grids.far,
-                                           grids.near));
+                                           grids.near, near_min));
   EXPECT_TRUE(inference.DayCongested(86400 * 5));
   EXPECT_FALSE(inference.DayCongested(86400 * 45));
 }

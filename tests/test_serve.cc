@@ -1178,12 +1178,32 @@ TEST(Session, OutOfBoundsTimestampDropsTheConnection) {
 
 // ----------------------------------------------------------------- daemon
 
+// Runs a listening daemon's event loop on its own thread for the scope's
+// lifetime; the destructor shuts the loop down and joins it. A failed
+// ASSERT_* in a client block then returns without leaving a joinable thread
+// behind (whose destructor would std::terminate the whole suite).
+class DaemonLoop {
+ public:
+  explicit DaemonLoop(TcpDaemon& daemon)
+      : daemon_(daemon), loop_([&daemon] { daemon.Run(); }) {}
+  ~DaemonLoop() {
+    daemon_.Shutdown();
+    loop_.join();
+  }
+  DaemonLoop(const DaemonLoop&) = delete;
+  DaemonLoop& operator=(const DaemonLoop&) = delete;
+
+ private:
+  TcpDaemon& daemon_;
+  std::thread loop_;
+};
+
 TEST(TcpDaemon, ServesConcurrentClientsEndToEnd) {
   CongestionService service(SmallServiceConfig(2));
   service.Start();
   TcpDaemon daemon(&service);
   ASSERT_TRUE(daemon.Listen(0));
-  std::thread loop([&] { daemon.Run(); });
+  DaemonLoop loop(daemon);
 
   {
     BlockingClient feeder;
@@ -1220,10 +1240,6 @@ TEST(TcpDaemon, ServesConcurrentClientsEndToEnd) {
     EXPECT_EQ(stats->shards, 2u);
     EXPECT_EQ(stats->last_closed_day, 8);
   }
-
-  daemon.Shutdown();
-  loop.join();
-  service.Stop();
 }
 
 TEST(TcpDaemon, DropsMisbehavingClientButSurvives) {
@@ -1231,7 +1247,7 @@ TEST(TcpDaemon, DropsMisbehavingClientButSurvives) {
   service.Start();
   TcpDaemon daemon(&service);
   ASSERT_TRUE(daemon.Listen(0));
-  std::thread loop([&] { daemon.Run(); });
+  DaemonLoop loop(daemon);
 
   {
     // A raw socket that speaks pure garbage: the daemon must answer with a
@@ -1273,10 +1289,6 @@ TEST(TcpDaemon, DropsMisbehavingClientButSurvives) {
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(stats->shards, 1u);
   }
-
-  daemon.Shutdown();
-  loop.join();
-  service.Stop();
 }
 
 TEST(TcpDaemon, ShedsClientWhoseOutboxExceedsTheCap) {
@@ -1290,7 +1302,7 @@ TEST(TcpDaemon, ShedsClientWhoseOutboxExceedsTheCap) {
   // range reply does not.
   daemon.set_max_outbox_bytes(128);
   ASSERT_TRUE(daemon.Listen(0));
-  std::thread loop([&] { daemon.Run(); });
+  DaemonLoop loop(daemon);
   {
     BlockingClient client;
     ASSERT_TRUE(client.Connect(daemon.port()));
@@ -1305,9 +1317,6 @@ TEST(TcpDaemon, ShedsClientWhoseOutboxExceedsTheCap) {
     ASSERT_TRUE(fresh.Connect(daemon.port()));
     EXPECT_TRUE(fresh.QueryStats().has_value());
   }
-  daemon.Shutdown();
-  loop.join();
-  service.Stop();
 }
 
 // The client refuses a batch over the sample cap without sending it (the
@@ -1317,25 +1326,17 @@ TEST(TcpDaemon, ClientRefusesABatchOverTheSampleCap) {
   service.Start();
   TcpDaemon daemon(&service);
   ASSERT_TRUE(daemon.Listen(0));
-  std::thread loop([&] { daemon.Run(); });
-  {
-    // EXPECT, not ASSERT: the daemon loop must still be joined below.
-    BlockingClient client;
-    EXPECT_TRUE(client.Connect(daemon.port()));
-    const std::vector<Sample> over(kMaxSamplesPerFrame + 1);
-    EXPECT_FALSE(client.Submit(over));
-    EXPECT_EQ(client.last_error(), ClientError::kProtocol);
-    const std::vector<Sample> day0 = SyntheticStream(/*links=*/2, /*days=*/1);
-    EXPECT_TRUE(client.Submit(day0));
-    const auto stats = client.QueryStats();
-    EXPECT_TRUE(stats.has_value());
-    if (stats) {
-      EXPECT_EQ(stats->samples, day0.size());
-    }
-  }
-  daemon.Shutdown();
-  loop.join();
-  service.Stop();
+  DaemonLoop loop(daemon);
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect(daemon.port()));
+  const std::vector<Sample> over(kMaxSamplesPerFrame + 1);
+  ASSERT_FALSE(client.Submit(over));
+  EXPECT_EQ(client.last_error(), ClientError::kProtocol);
+  const std::vector<Sample> day0 = SyntheticStream(/*links=*/2, /*days=*/1);
+  ASSERT_TRUE(client.Submit(day0));
+  const auto stats = client.QueryStats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->samples, day0.size());
 }
 
 // ------------------------------------------------------------------ clock
