@@ -40,13 +40,15 @@
 #   5. sanitizer builds: ThreadSanitizer (-DMANIC_SANITIZE=thread) rerunning
 #      the runtime + driver tests with MANIC_THREADS=4, the SPSC ring's own
 #      tests (staged runs, wrap-around, runs longer than the ring against a
-#      live consumer) and the CongestionService tests (batch-boundary
-#      equivalence on a 4-slot ring, run handover after submit and WAL
-#      recovery), the ServiceWal and WalRecovery tests (the closer thread
-#      syncs a day's marker while the shards finalize it and the producer
-#      goes on submitting; crash recovery, ENOSPC and failed-sync
-#      degradation, and the streamed WAL reader), plus the faulted
-#      chaos study through the full serving plane (--serve, 4 ingest
+#      live consumer), the IngestShard tests (quarter-ring runs, and
+#      every marker carrying the staged run out), the CongestionService
+#      tests (batch-boundary equivalence at runs of 1, 16 and 4,096
+#      samples, run handover after submit and WAL recovery), the TcpDaemon
+#      tests (the daemon event loop with live clients), the ServiceWal and
+#      WalRecovery tests (the closer thread syncs a day's marker while the
+#      shards finalize it and the producer goes on submitting; crash
+#      recovery, ENOSPC and failed-sync degradation, and the streamed WAL
+#      reader), plus the faulted chaos study through the full serving plane (--serve, 4 ingest
 #      shards: daemon event loop, shard workers, the closer, and the query plane all
 #      under TSan) and crashloop kill/recover cycles (WAL replay and the
 #      drain path under TSan, with and without checkpoints), then UBSan (-DMANIC_SANITIZE=undefined,
@@ -216,12 +218,12 @@ echo "perf gate OK (report: $OUT_DIR/BENCH_check.json)."
 python3 perfbench/smoke_test.py
 echo "perfbench smoke OK."
 
-stage "[5/6] sanitizer builds: TSan runtime/driver/ring/service/WAL tests + serve chaos study, UBSan full suite"
+stage "[5/6] sanitizer builds: TSan runtime/driver/ring/shard/service/daemon/WAL tests + serve chaos study, UBSan full suite"
 cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
   test_serve test_serve_wal example_continental_study crashloop
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|CongestionService|ServiceWal|WalRecovery|ServiceCheckpoint'
+  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|IngestShard|CongestionService|TcpDaemon|ServiceWal|WalRecovery|ServiceCheckpoint'
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
 # closer's collector handshake, exercised by the faulted chaos study end to
 # end.

@@ -33,9 +33,9 @@ void IngestShard::PushSample(const Sample& s) {
   msg.kind = MsgKind::kSample;
   msg.sample = s;
   ring_.Stage(msg);
+  // A run is a quarter ring (at least one sample: Staged() >= 1 here).
+  if (ring_.Staged() >= ring_.capacity() / 4) ring_.Publish();
 }
-
-void IngestShard::Publish() { ring_.Publish(); }
 
 void IngestShard::PushCloseDay(std::int64_t day) {
   Msg msg;

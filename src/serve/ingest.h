@@ -6,13 +6,18 @@
 // shard always holds complete per-link state and day-close verdicts never
 // need a cross-shard merge.
 //
-// Samples move in runs (see serve/ring.h): PushSample only stages a sample
-// on the ring, and Publish() hands everything staged to the worker with one
-// cursor store and one wake, which the worker drains in one pass. A
+// Samples move in runs (see serve/ring.h): PushSample stages a sample on
+// the ring and publishes once a quarter ring is staged (4,096 samples at
+// the default 16,384 slots, ~21 pair-day batches), handing the whole run
+// to the worker with one cursor store and one wake; the worker drains it
+// in one pass. A close marker or Stop carries out whatever is staged. A
 // per-sample handover parked and woke the worker for every sample, ~0.8 us
-// each on a 4-vCPU Xeon host — most of an in-process pair-day submit. A
-// producer that finds the ring full publishes before it parks
-// (publish-before-wait), or the worker could never free a slot.
+// each on a 4-vCPU Xeon host; a publish per pair-day batch still paid one
+// park/wake cycle per ~2 us of engine work. A producer that finds the ring
+// full publishes before it parks (publish-before-wait), or the worker
+// could never free a slot. Only the points where records become visible
+// depend on the run length, never their order, so every marker sees the
+// same samples ahead of it at any ring capacity.
 //
 // Day closes ride in-band: the producer pushes a kCloseDay control marker
 // after the last sample of the day, the worker finalizes the day, deposits
@@ -81,11 +86,10 @@ class IngestShard {
   void Stop();
 
   // ---- producer side (one thread) -------------------------------------------
-  // Stages the sample; the worker sees it at the next Publish, close marker
-  // or Stop. Blocks while the ring is full, publishing first.
+  // Stages the sample; the worker sees it once a quarter ring is staged,
+  // or at the next close marker or Stop. Blocks while the ring is full,
+  // publishing first.
   void PushSample(const Sample& s);
-  // Hands every staged sample to the worker (no-op when none is staged).
-  void Publish();
   // Schedules the finalization of `day`, published together with every
   // staged sample. The producer must push close markers in ascending day
   // order, after every sample of that day.
@@ -121,8 +125,9 @@ class IngestShard {
   void RestoreClosedThrough(std::int64_t day);
 
   // ---- counters (any thread) -------------------------------------------------
-  // Advances once per drained run and before each day close is published,
-  // so it may trail the worker briefly but never a closed day.
+  // Advances once per drained run and before each day close is published.
+  // A diagnostic: it may trail PushSample by up to a quarter ring of staged
+  // samples until the next close marker or Stop, but never a closed day.
   std::uint64_t SamplesProcessed() const noexcept {
     return samples_.load(std::memory_order_relaxed);
   }

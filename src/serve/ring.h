@@ -20,6 +20,8 @@
 // a 4-vCPU Xeon host, one in-process SubmitBatch took ~170 us, against ~16
 // us for decode, WAL append, ring copy, engine ingest and tsdb append
 // together. A run pays the wake once, and the same submit takes ~15 us.
+// The run length is the caller's choice: an ingest shard (serve/ingest.h)
+// publishes every quarter ring, so one wake carries ~21 pair-day batches.
 //
 // Two rules keep the staged records from stranding:
 //   publish-before-wait    a producer that finds the ring full publishes
@@ -93,6 +95,12 @@ class SpscRing {
     if (staged_ == tail_.load(std::memory_order_relaxed)) return;
     tail_.store(staged_, std::memory_order_release);
     tail_.notify_one();
+  }
+
+  // Records staged and not yet published. Producer thread only.
+  std::size_t Staged() const noexcept {
+    return static_cast<std::size_t>(staged_ -
+                                    tail_.load(std::memory_order_relaxed));
   }
 
   // A run of one. False (nothing staged) when the ring is full.

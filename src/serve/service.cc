@@ -49,7 +49,7 @@ SubmitOutcome CongestionService::Submit(const Sample& s) {
   ReapClose();
   const bool was_degraded = degraded_;
   SubmitOutcome outcome = SubmitOne(s, true);
-  PublishShards();
+  PublishAccepted();
   // The single-sample path flushes per call so the caller's view ("Submit
   // returned") never runs ahead of the log. Batch for throughput.
   if (WalLive() && FlushWalPending() != WalStatus::kOk) EnterDegraded();
@@ -110,8 +110,8 @@ SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
   } else {
     ++samples_consumed_;  // no WAL, or replaying what is already durable
   }
-  // Staged only: the caller publishes every shard once per call (or a
-  // close marker below carries the run out with it).
+  // The shard hands its staged samples to its worker in quarter-ring runs;
+  // a close marker below carries out whatever is still staged.
   shards_[s.link % shards_.size()]->PushSample(s);
   ++run_accepted_;
   if (s.t > watermark_t_) {
@@ -144,7 +144,7 @@ SubmitSummary CongestionService::SubmitBatch(std::span<const Sample> samples) {
         break;
     }
   }
-  PublishShards();
+  PublishAccepted();
   // One WAL record for the whole consumed run: the ack the session sends
   // after this return is the durability receipt — so if anything degraded
   // the WAL during this batch (the final flush here, or a day-close flush
@@ -194,7 +194,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
           const SubmitOutcome replayed = SubmitOne(s, false);
           (void)replayed;  // logged samples re-admit deterministically
         }
-        PublishShards();
+        PublishAccepted();
       },
       [this](std::int64_t day) { CloseThrough(day); });
   DrainClose();  // the last replayed close, before wal_ is replaced
@@ -246,8 +246,7 @@ WalStatus CongestionService::FlushWalPending() {
   return status;
 }
 
-void CongestionService::PublishShards() {
-  for (auto& shard : shards_) shard->Publish();
+void CongestionService::PublishAccepted() {
   samples_accepted_.fetch_add(std::exchange(run_accepted_, 0),
                               std::memory_order_relaxed);
 }

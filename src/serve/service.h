@@ -207,8 +207,10 @@ class CongestionService {
   std::optional<infer::DataQuality> QueryQuality(topo::LinkId link) const;
   ServiceStats Stats() const;
   // Samples the shard workers have taken off their rings in this process
-  // (IngestShard::SamplesProcessed, summed). Trails ingest briefly; never
-  // counts a sample still staged on a ring.
+  // (IngestShard::SamplesProcessed, summed). A diagnostic that no verdict,
+  // stat or query reads: it may trail ingest by up to a quarter ring per
+  // shard until the next day close, checkpoint or Stop, and never counts a
+  // sample still staged on a ring.
   std::uint64_t SamplesProcessed() const;
   // The canonical, append-only verdict log (FormatVerdictLine rows, days in
   // close order, links ascending within a day) — what the replay gate diffs.
@@ -223,11 +225,11 @@ class CongestionService {
   // (WAL-append every consumed sample, let a watermark advance close days)
   // from WAL replay (no re-append; closes come from replayed markers only,
   // so clock-driven closes recover deterministically too).
-  // Stages the sample on its shard without publishing it.
+  // Pushes the sample to its shard, which publishes in quarter-ring runs.
   SubmitOutcome SubmitOne(const Sample& s, bool live);
-  // Hands every shard's staged run to its worker: once per Submit,
-  // SubmitBatch and replayed WAL record, so no sample waits for a close.
-  void PublishShards();
+  // Moves run_accepted_ into samples_accepted_: once per Submit, SubmitBatch
+  // and replayed WAL record.
+  void PublishAccepted();
   // One day close as the producer hands it to the closer.
   struct CloseJob {
     std::int64_t day = 0;
@@ -297,8 +299,8 @@ class CongestionService {
   std::uint32_t checkpoint_base_segment_ = 0;
   std::uint64_t checkpoints_attempted_ = 0;  // the crash seam's ordinal
   CheckpointStats checkpoint_stats_;
-  // Accepted since the last PublishShards, which moves them into
-  // samples_accepted_ once per published run.
+  // Accepted since the last PublishAccepted, which moves them into
+  // samples_accepted_ once per call.
   std::uint64_t run_accepted_ = 0;
   // A close was handed to the closer and not yet waited for.
   bool close_handed_ = false;

@@ -1,9 +1,10 @@
 // Tests for the serving plane (src/serve): the SPSC ring, the wire codec
 // and frame reassembly (fragmentation, truncation, garbage), the shard
-// engine's batch-equivalent verdict merge, the replay-determinism guarantee
-// (same stream, any shard count => byte-identical verdict log), the query
-// plane, the transport-free session state machine, and a live TCP daemon
-// smoke test.
+// engine's batch-equivalent verdict merge, the ingest shard's run
+// hand-off, the replay-determinism guarantee (same stream, any shard count
+// or run length => byte-identical verdict log), live verdicts against the
+// batch study on the mini study, the query plane, the transport-free
+// session state machine, and a live TCP daemon smoke test.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,16 +21,23 @@
 #include <filesystem>
 #include <future>
 #include <limits>
+#include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "analysis/daylink.h"
 #include "infer/rolling.h"
 #include "runtime/clock.h"
+#include "scenario/driver.h"
+#include "scenario/us_broadband.h"
 #include "serve/codec.h"
 #include "serve/daemon.h"
 #include "serve/engine.h"
+#include "serve/ingest.h"
 #include "serve/replay.h"
 #include "serve/ring.h"
 #include "serve/sample.h"
@@ -153,9 +161,11 @@ TEST(SpscRing, StagedRunWrapsTheSlotArray) {
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.TryPop(&out));
   for (int i = 0; i < 6; ++i) ring.Stage(i);
   // Staged records stay invisible until the run is published.
+  EXPECT_EQ(ring.Staged(), 6u);
   EXPECT_EQ(ring.SizeApprox(), 0u);
   EXPECT_FALSE(ring.TryPop(&out));
   ring.Publish();
+  EXPECT_EQ(ring.Staged(), 0u);
   EXPECT_EQ(ring.SizeApprox(), 6u);
   std::vector<int> seen;
   EXPECT_EQ(ring.DrainRun([&](int& v) { seen.push_back(v); }), 6u);
@@ -900,16 +910,19 @@ TEST(CongestionService, DropsAndCountsLateSamples) {
 // ------------------------------------------------ run handover to shards
 
 // Submits `batches` in order and returns the finished service's log and
-// stats. A tiny ring forces the producer to publish-and-park mid-batch.
+// stats. A ring of 4 publishes every sample (a quarter ring is one) and
+// parks the producer mid-batch; larger rings hand samples over in
+// quarter-ring runs that end wherever the count falls, mid-batch or not.
 struct FedRun {
   std::string log;
   ServiceStats stats;
 };
 
-FedRun FeedBatches(int shards, const std::vector<std::vector<Sample>>& batches,
+FedRun FeedBatches(int shards, std::size_t ring_capacity,
+                   const std::vector<std::vector<Sample>>& batches,
                    bool one_by_one) {
   ServiceConfig config = SmallServiceConfig(shards);
-  config.ring_capacity = 4;
+  config.ring_capacity = ring_capacity;
   CongestionService service(config);
   service.Start();
   for (const std::vector<Sample>& batch : batches) {
@@ -967,71 +980,268 @@ TEST(CongestionService, BatchBoundariesDoNotChangeTheLog) {
   // 7 other days x 12 pairs, the midnight-crossing batch, the straggler.
   ASSERT_EQ(pair_days.size(), 7u * 12u + 2u);
 
-  const FedRun reference = FeedBatches(1, {stream}, /*one_by_one=*/true);
+  const FedRun reference =
+      FeedBatches(1, 4, {stream}, /*one_by_one=*/true);
   EXPECT_EQ(reference.stats.samples_late, 1u);
   EXPECT_EQ(reference.stats.last_closed_day, 8);
   EXPECT_NE(reference.log.find("recurring=1"), std::string::npos);
-  for (const int shards : {1, 4}) {
-    for (const auto& [name, run] :
-         {std::make_pair("sample by sample",
-                         FeedBatches(shards, {stream}, true)),
-          std::make_pair("one batch", FeedBatches(shards, {stream}, false)),
-          std::make_pair("pair-day batches",
-                         FeedBatches(shards, pair_days, false))}) {
-      ServiceStats stats = run.stats;
-      EXPECT_EQ(stats.shards, static_cast<std::uint32_t>(shards));
-      stats.shards = reference.stats.shards;
-      EXPECT_EQ(run.log, reference.log) << name << " at " << shards;
-      EXPECT_EQ(stats, reference.stats) << name << " at " << shards;
+  // Runs of 1, 16 and 4,096 samples: the last is longer than any shard's
+  // day, so there only the close markers and Stop publish.
+  for (const std::size_t capacity : {std::size_t{4}, std::size_t{64},
+                                     std::size_t{1} << 14}) {
+    for (const int shards : {1, 4}) {
+      for (const auto& [name, run] :
+           {std::make_pair("sample by sample",
+                           FeedBatches(shards, capacity, {stream}, true)),
+            std::make_pair("one batch",
+                           FeedBatches(shards, capacity, {stream}, false)),
+            std::make_pair("pair-day batches",
+                           FeedBatches(shards, capacity, pair_days, false))}) {
+        ServiceStats stats = run.stats;
+        EXPECT_EQ(stats.shards, static_cast<std::uint32_t>(shards));
+        stats.shards = reference.stats.shards;
+        EXPECT_EQ(run.log, reference.log)
+            << name << " at " << shards << " shards, ring " << capacity;
+        EXPECT_EQ(stats, reference.stats)
+            << name << " at " << shards << " shards, ring " << capacity;
+      }
     }
   }
 }
 
-// Polls (for at most ~5 s) until the shard workers have taken `expected`
-// samples off their rings; a run left staged on a ring never arrives, and
-// the bounded wait reports it.
-bool SamplesArrive(const CongestionService& service, std::uint64_t expected) {
+// Polls (for at most ~5 s) until a service's or a shard's SamplesProcessed()
+// equals `expected`; a run left staged on a ring never arrives, and the
+// bounded wait reports it.
+template <typename Counter>
+bool SamplesArrive(const Counter& counter, std::uint64_t expected) {
   for (int poll = 0; poll < 5000; ++poll) {
-    if (service.SamplesProcessed() == expected) return true;
+    if (counter.SamplesProcessed() == expected) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
 }
 
+TEST(IngestShard, PublishesQuarterRingRunsAndEveryMarker) {
+  IngestShardConfig config;
+  config.engine.autocorr = SmallConfig();
+  config.ring_capacity = 64;  // runs of 16
+  constexpr std::uint64_t kRun = 16;
+  // One link, 2 VPs: 96 samples a day.
+  const std::vector<Sample> stream = SyntheticStream(/*links=*/1, /*days=*/2);
+  const auto day1 = std::find_if(stream.begin(), stream.end(),
+                                 [](const Sample& s) {
+                                   return stats::DayOf(s.t) == 1;
+                                 });
+  ASSERT_EQ(day1 - stream.begin(), 96);
+  IngestShard shard(config);
+  shard.Start();
+  // A full run goes out on its own; the next 15 stay staged. Unpublished
+  // records are invisible to the worker, so once the run is counted the
+  // count cannot move on.
+  for (std::uint64_t i = 0; i < 2 * kRun - 1; ++i) shard.PushSample(stream[i]);
+  EXPECT_TRUE(SamplesArrive(shard, kRun)) << "a full run was not published";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(shard.SamplesProcessed(), kRun) << "a partial run was published";
+  // A close marker carries the partial run out with it. WaitClosed parks
+  // for good on a marker left staged, so it runs under a bounded wait.
+  shard.PushCloseDay(0);
+  ASSERT_TRUE(SamplesArrive(shard, 2 * kRun - 1))
+      << "the close marker left samples staged";
+  auto closed = std::async(std::launch::async, [&] { shard.WaitClosed(0); });
+  WaitOrAbort(closed, std::chrono::seconds(5),
+              "the close marker was never published");
+  EXPECT_TRUE(shard.TakeDayVerdicts().empty());  // no full window yet
+  // So does a checkpoint marker.
+  const std::string part = ::testing::TempDir() + "/manic_ingest_shard.part";
+  for (auto it = day1; it != day1 + 5; ++it) shard.PushSample(*it);
+  shard.PushCheckpointDay(1, part, /*sync=*/false, nullptr);
+  ASSERT_TRUE(SamplesArrive(shard, 2 * kRun - 1 + 5))
+      << "the checkpoint marker left samples staged";
+  closed = std::async(std::launch::async, [&] { shard.WaitClosed(1); });
+  WaitOrAbort(closed, std::chrono::seconds(5),
+              "the checkpoint marker was never published");
+  EXPECT_TRUE(shard.TakeCheckpointPart().ok);
+  // And Stop.
+  for (auto it = day1 + 5; it != day1 + 12; ++it) shard.PushSample(*it);
+  shard.Stop();
+  EXPECT_EQ(shard.SamplesProcessed(), 2 * kRun - 1 + 12);
+  std::remove(part.c_str());
+}
+
 TEST(CongestionService, SubmitAndRecoveryHandRunsOverWithoutAClose) {
-  // Day 0 only: nothing closes, so only the per-call publish can carry the
-  // samples to the workers.
-  const std::vector<Sample> day0 = SyntheticStream(/*links=*/4, /*days=*/1);
-  ASSERT_FALSE(day0.empty());
-  const std::string wal_dir =
-      ::testing::TempDir() + "/manic_serve_handover_wal";
-  std::filesystem::remove_all(wal_dir);
+  // Day 0 only, 8 links x 2 VPs: 384 samples for each of the two shards,
+  // in two batches of 192 a shard. With 1,024 slots a run is 256 samples:
+  // the first batch stays staged, the second publishes one run per shard,
+  // and only a close or Stop carries the last 128 a shard.
+  constexpr std::uint64_t kRun = 256;
+  const std::vector<Sample> day0 = SyntheticStream(/*links=*/8, /*days=*/1);
+  ASSERT_EQ(day0.size(), 768u);
+  const std::span<const Sample> first(day0.data(), day0.size() / 2);
+  const std::span<const Sample> second(day0.data() + day0.size() / 2,
+                                       day0.size() / 2);
   ServiceConfig config = SmallServiceConfig(2);
-  config.wal_dir = wal_dir;
+  config.ring_capacity = 1024;
   config.wal_fsync = WalFsync::kNone;
-  {
+  const std::string wal_root =
+      ::testing::TempDir() + "/manic_serve_handover_wal";
+  std::filesystem::remove_all(wal_root);
+
+  // Runs of a quarter ring arrive with no close; FinishStream or Stop
+  // carries the rest.
+  const auto carry = [&](CongestionService& service, bool finish,
+                         const char* half) {
+    EXPECT_TRUE(SamplesArrive(service, 2 * kRun))
+        << half << ": a full run did not arrive without a close";
+    EXPECT_EQ(service.LastClosedDay(), kNoDayClosed) << half;
+    if (finish) {
+      EXPECT_EQ(service.FinishStream(), 0) << half;
+      EXPECT_EQ(service.SamplesProcessed(), day0.size())
+          << half << ": FinishStream left samples staged";
+    }
+    EXPECT_EQ(service.CloseWalClean(), WalStatus::kOk) << half;
+    service.Stop();
+    EXPECT_EQ(service.SamplesProcessed(), day0.size())
+        << half << ": Stop left samples staged";
+  };
+  for (const bool finish : {false, true}) {
+    config.wal_dir = wal_root + (finish ? "/live-finish" : "/live-stop");
     CongestionService service(config);
     service.Start();
     ASSERT_TRUE(service.RecoverFromWal().ok);  // empty log: opens a segment
-    EXPECT_EQ(service.SubmitBatch(day0).accepted, day0.size());
-    EXPECT_TRUE(SamplesArrive(service, day0.size()))
-        << "SubmitBatch returned with samples still staged";
-    EXPECT_EQ(service.LastClosedDay(), kNoDayClosed);
-    ASSERT_EQ(service.CloseWalClean(), WalStatus::kOk);
-    service.Stop();
+    EXPECT_EQ(service.SubmitBatch(first).accepted, first.size());
+    // Under a quarter ring a shard, with no close: nothing is published.
+    EXPECT_EQ(service.SamplesProcessed(), 0u);
+    EXPECT_EQ(service.SubmitBatch(second).accepted, second.size());
+    carry(service, finish, "live");
   }
-  {
+  // The live-stop log holds the two batches and no close; each recovery
+  // replays a copy of it.
+  for (const bool finish : {false, true}) {
+    config.wal_dir = wal_root + (finish ? "/recover-finish" : "/recover-stop");
+    std::filesystem::copy(wal_root + "/live-stop", config.wal_dir,
+                          std::filesystem::copy_options::recursive);
     CongestionService recovered(config);
     recovered.Start();
     const WalRecoverStats stats = recovered.RecoverFromWal();
     ASSERT_TRUE(stats.ok) << stats.error;
     EXPECT_EQ(stats.samples, day0.size());
-    EXPECT_TRUE(SamplesArrive(recovered, day0.size()))
-        << "RecoverFromWal returned with replayed samples still staged";
-    EXPECT_EQ(recovered.LastClosedDay(), kNoDayClosed);
-    recovered.Stop();
+    EXPECT_EQ(stats.closes, 0u);
+    carry(recovered, finish, "recovered");
   }
-  std::filesystem::remove_all(wal_dir);
+  std::filesystem::remove_all(wal_root);
+}
+
+// ------------------------------------------- batch/live parity, mixed days
+
+// The mini study (test_runtime's RunMiniStudy): this world, 16 VPs over 150
+// days, enough that on some days a link's VPs disagree on recurrence, so
+// the cross-VP merge's asserting-VP average shows.
+scenario::UsBroadband MiniStudyWorld() {
+  scenario::UsBroadbandOptions world_options;
+  world_options.link_scale = 0.4;
+  return scenario::MakeUsBroadband(world_options);
+}
+
+TEST(ServeParity, MiniStudyVerdictsMatchTheBatchStudyAtOneAndFourShards) {
+  scenario::StudyOptions options;
+  options.days = 150;
+  options.max_vps = 16;
+  options.runtime.threads = 2;
+  std::map<std::pair<std::int64_t, std::uint64_t>, analysis::DayLinkRecord>
+      batch;
+  options.on_day_link = [&](const analysis::DayLinkRecord& r) {
+    batch[{r.day, r.link_key}] = r;
+  };
+  {
+    scenario::UsBroadband world = MiniStudyWorld();
+    (void)scenario::RunLongitudinalStudy(world, options);
+  }
+  options.on_day_link = nullptr;
+  ASSERT_FALSE(batch.empty());
+
+  // The study's exact measurement rows, submitted as pair-day batches to a
+  // 1-shard and a 4-shard service side by side.
+  std::vector<std::unique_ptr<CongestionService>> services;
+  for (const int shards : {1, 4}) {
+    ServiceConfig config;
+    config.shards = shards;
+    config.engine.autocorr = options.autocorr;
+    services.push_back(std::make_unique<CongestionService>(config));
+    services.back()->Start();
+  }
+  scenario::UsBroadband world = MiniStudyWorld();  // discovery mutates it
+  const TimeSec bin = options.autocorr.bin_width;
+  std::vector<Sample> samples;
+  std::uint64_t dropped = 0;
+  scenario::ExportStudyStream(
+      world, options,
+      [&](topo::VpId vp, topo::LinkId link, std::int64_t day,
+          std::span<const float> far, std::span<const float> near) {
+        samples.clear();
+        for (std::size_t i = 0; i < far.size(); ++i) {
+          const TimeSec t = day * stats::kSecPerDay +
+                            static_cast<TimeSec>(i) * bin + bin / 2;
+          samples.push_back({t, link, vp,
+                             std::isnan(far[i]) ? SampleKind::kFarMissing
+                                                : SampleKind::kFarRtt,
+                             std::isnan(far[i]) ? 0.0f : far[i]});
+          samples.push_back({t, link, vp,
+                             std::isnan(near[i]) ? SampleKind::kNearMissing
+                                                 : SampleKind::kNearRtt,
+                             std::isnan(near[i]) ? 0.0f : near[i]});
+        }
+        for (const auto& service : services) {
+          const SubmitSummary sub = service->SubmitBatch(samples);
+          dropped += sub.late + sub.rejected + sub.shed;
+        }
+      });
+  EXPECT_EQ(dropped, 0u);
+
+  for (const auto& service : services) {
+    service->FinishStream();
+    const std::string where =
+        std::to_string(service->shards()) + " shard(s)";
+    // Every batch day-link record has its live verdict: the same day, the
+    // fraction to 1e-9 and the same congested flag.
+    std::map<std::uint64_t, std::size_t> rows_per_link;
+    std::size_t mismatched = 0;
+    for (const auto& [key, record] : batch) {
+      const auto live =
+          service->QueryPoint(static_cast<topo::LinkId>(record.link_key),
+                              key.first * stats::kSecPerDay);
+      ++rows_per_link[record.link_key];
+      if (!live.has_value() || live->day != record.day ||
+          std::fabs(live->fraction - record.fraction) > 1e-9 ||
+          live->congested !=
+              (record.fraction >= analysis::kDayLinkThreshold)) {
+        if (++mismatched <= 5) {
+          ADD_FAILURE() << where << ": day " << record.day << " link "
+                        << record.link_key << " batch fraction "
+                        << record.fraction << " live "
+                        << (live.has_value() ? live->fraction : -1.0);
+        }
+      }
+    }
+    EXPECT_EQ(mismatched, 0u) << where;
+    // ... and no live verdict lacks a batch record. Count the days where a
+    // link's contributing VPs disagreed on recurrence: without them the
+    // fraction check could not tell the asserting-VP average apart from
+    // an average over every contributor.
+    std::size_t mixed_days = 0;
+    for (const auto& [link, expected_rows] : rows_per_link) {
+      const std::vector<VerdictRecord> rows = service->QueryRange(
+          static_cast<topo::LinkId>(link),
+          std::numeric_limits<TimeSec>::min() / 2,
+          std::numeric_limits<TimeSec>::max() / 2);
+      EXPECT_EQ(rows.size(), expected_rows) << where << ": link " << link;
+      for (const VerdictRecord& v : rows) {
+        if (v.asserting > 0 && v.asserting < v.contributors) ++mixed_days;
+      }
+    }
+    EXPECT_GT(mixed_days, 0u) << where;
+    service->Stop();
+  }
+  EXPECT_EQ(services[0]->VerdictLogText(), services[1]->VerdictLogText());
 }
 
 TEST(ReplayFile, RejectsOutOfBoundsTimestamps) {
