@@ -48,7 +48,9 @@
 #      WalRecovery tests (the closer thread syncs a day's marker while the
 #      shards finalize it and the producer goes on submitting; crash
 #      recovery, ENOSPC and failed-sync degradation, and the streamed WAL
-#      reader), plus the faulted chaos study through the full serving plane (--serve, 4 ingest
+#      reader), the ServiceAdmission tests (Submit, SubmitBatch and WAL
+#      replay agree on a hostile stream, with and without a clock and with
+#      ENOSPC mid-batch), plus the faulted chaos study through the full serving plane (--serve, 4 ingest
 #      shards: daemon event loop, shard workers, the closer, and the query plane all
 #      under TSan) and crashloop kill/recover cycles (WAL replay and the
 #      drain path under TSan, with and without checkpoints), then UBSan (-DMANIC_SANITIZE=undefined,
@@ -223,7 +225,7 @@ cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
   test_serve test_serve_wal example_continental_study crashloop
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|IngestShard|CongestionService|TcpDaemon|ServiceWal|WalRecovery|ServiceCheckpoint'
+  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver|SpscRing|IngestShard|CongestionService|TcpDaemon|ServiceWal|WalRecovery|ServiceCheckpoint|ServiceAdmission'
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
 # closer's collector handshake, exercised by the faulted chaos study end to
 # end.

@@ -25,10 +25,13 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "runtime/clock.h"
 #include "runtime/io_fault.h"
 #include "serve/checkpoint.h"
 #include "serve/codec.h"
@@ -2480,6 +2483,543 @@ TEST(ServiceCheckpoint, ShortWritesAndEintrStillCommit) {
   ASSERT_TRUE(stats.ok) << stats.error;
   EXPECT_GT(stats.checkpoint_bytes, 0u);
   EXPECT_TRUE(Observe(restarted) == want);
+}
+
+
+// ------------------------------------------------------------ run admission
+
+// SHA-256 (FIPS 180-4) of `data` as lowercase hex: the WAL golden pins
+// segment bytes the way tests/golden/serve_verdicts.sha256 pins a log.
+std::string Sha256Hex(std::string_view data) {
+  static constexpr std::uint32_t kRound[64] = {
+      0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+      0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+      0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+      0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+      0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+      0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+      0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+      0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+      0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+      0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+      0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::string msg(data);
+  const std::uint64_t bits = std::uint64_t{data.size()} * 8;
+  msg.push_back(static_cast<char>(0x80));
+  while (msg.size() % 64 != 56) msg.push_back('\0');
+  for (int i = 7; i >= 0; --i) msg.push_back(static_cast<char>(bits >> (8 * i)));
+  for (std::size_t block = 0; block < msg.size(); block += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = 0;
+      for (int b = 0; b < 4; ++b) {
+        w[i] = (w[i] << 8) |
+               static_cast<unsigned char>(msg[block + 4 * static_cast<std::size_t>(i) + b]);
+      }
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^
+                               std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^
+                               std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t v[8];
+    std::copy(h, h + 8, v);
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t e = v[4], a = v[0];
+      const std::uint32_t t1 = v[7] +
+                               (std::rotr(e, 6) ^ std::rotr(e, 11) ^
+                                std::rotr(e, 25)) +
+                               ((e & v[5]) ^ (~e & v[6])) + kRound[i] + w[i];
+      const std::uint32_t t2 =
+          (std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22)) +
+          ((a & v[1]) ^ (a & v[2]) ^ (v[1] & v[2]));
+      std::copy_backward(v, v + 7, v + 8);
+      v[4] += t1;
+      v[0] = t1 + t2;
+    }
+    for (int i = 0; i < 8; ++i) h[i] += v[i];
+  }
+  std::string hex;
+  for (const std::uint32_t word : h) {
+    char buf[9];
+    std::snprintf(buf, sizeof buf, "%08x", word);
+    hex += buf;
+  }
+  return hex;
+}
+
+// The admission tests' day jump: short, so far-future samples are cheap.
+constexpr std::int64_t kAdmissionJump = 4;
+
+// A seeded hostile stream over days [0, days): each day, every (link, vp)
+// pair's hourly far and near samples as one key run, starting again at the
+// day's first hour (behind the watermark, still in the open day). From day
+// 1 on, about one sample in 48 is preceded by a hostile one: late (a
+// closed day, or before the epoch), out of bounds (past kMaxAbsSampleDay,
+// or at the int64 limits), far-future (past the day jump), on the open
+// day's first or last second, or, rarely, from the next day (it closes the
+// open day early, and the rest of that day arrives late). The first sample
+// is out of bounds. The generator is local, so the stream never moves.
+std::vector<Sample> HostileStream(std::uint64_t seed, std::int64_t days,
+                                  topo::LinkId links) {
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  constexpr TimeSec kDay = stats::kSecPerDay;
+  std::vector<Sample> stream;
+  Sample s;
+  s.link = 1;
+  s.vp = 1;
+  s.t = (kMaxAbsSampleDay + 1) * kDay;
+  stream.push_back(s);
+  const auto hostile = [&](std::int64_t day, Sample h) {
+    const std::int64_t pick = static_cast<std::int64_t>(next() % 9);
+    const TimeSec within = static_cast<TimeSec>(next() % kDay);
+    switch (pick) {
+      case 0:
+      case 1:  // late: one of the last three days
+        h.t = (day - 1 - static_cast<std::int64_t>(next() % 3)) * kDay + within;
+        break;
+      case 2:  // late: before the epoch
+        h.t = -(3 + static_cast<std::int64_t>(next() % 100)) * kDay + within;
+        break;
+      case 3:  // out of bounds, either side
+        h.t = (kMaxAbsSampleDay + 1 + static_cast<std::int64_t>(next() % 1000)) *
+              kDay * (next() % 2 == 0 ? 1 : -1);
+        break;
+      case 4:  // the int64 limits
+        h.t = next() % 2 == 0
+                  ? std::numeric_limits<TimeSec>::max() - within
+                  : std::numeric_limits<TimeSec>::min() + within;
+        break;
+      case 5:  // far-future: past the jump from any open day
+        h.t = (day + kAdmissionJump + 3 +
+               static_cast<std::int64_t>(next() % 20)) *
+                  kDay +
+              within;
+        break;
+      case 6:  // the open day's first second
+        h.t = day * kDay;
+        break;
+      case 7:  // the open day's last second
+        h.t = (day + 1) * kDay - 1;
+        break;
+      default:  // rarely the next day, else behind the watermark
+        h.t = next() % 6 == 0 ? (day + 1) * kDay + within : day * kDay + within;
+        break;
+    }
+    stream.push_back(h);
+  };
+  for (std::int64_t day = 0; day < days; ++day) {
+    for (topo::LinkId link = 1; link <= links; ++link) {
+      for (topo::VpId vp = 1; vp <= 2; ++vp) {
+        for (int hour = 0; hour < 24; ++hour) {
+          for (const SampleKind kind :
+               {SampleKind::kFarRtt, SampleKind::kNearRtt}) {
+            s.t = day * kDay + hour * 3600 + static_cast<TimeSec>(next() % 3600);
+            s.link = link;
+            s.vp = vp;
+            s.kind = kind;
+            if (next() % 16 == 0) {
+              s.kind = kind == SampleKind::kFarRtt ? SampleKind::kFarMissing
+                                                   : SampleKind::kNearMissing;
+            } else if (next() % 64 == 0) {
+              s.kind = SampleKind::kLossRate;
+            }
+            // Links with an even id run congested in the evening.
+            const bool busy = link % 2 == 0 && hour >= 18 &&
+                              kind == SampleKind::kFarRtt;
+            s.value = 10.0f + static_cast<float>(next() % 400) * 0.01f +
+                      (busy ? 25.0f : 0.0f);
+            if (day > 0 && next() % 48 == 0) hostile(day, s);
+            stream.push_back(s);
+          }
+        }
+      }
+    }
+  }
+  return stream;
+}
+
+// How one path feeds the stream: one call per cut, each starting at its
+// cut and ending at the next. `single` sends every sample through Submit
+// (the cuts are then every position); otherwise each call is a SubmitBatch.
+// With a clock, the clock moves to clock[p] and PollClock runs before the
+// call starting at p (always a cut).
+struct Plan {
+  std::vector<std::size_t> cuts;
+  bool single = false;
+  std::map<std::size_t, TimeSec> clock;
+};
+
+Plan SinglePlan(std::size_t n) {
+  Plan plan;
+  plan.single = true;
+  for (std::size_t i = 0; i < n; ++i) plan.cuts.push_back(i);
+  return plan;
+}
+
+Plan EvenPlan(std::size_t n, std::size_t split) {
+  Plan plan;
+  for (std::size_t i = 0; i < n; i += split) plan.cuts.push_back(i);
+  return plan;
+}
+
+// Batches of 1 to 400 samples, cut at every clock move.
+Plan RandomPlan(std::size_t n, std::uint64_t seed,
+                const std::map<std::size_t, TimeSec>& clock) {
+  std::uint64_t x = seed * 0x2545f4914f6cdd1dULL + 7;
+  std::set<std::size_t> cuts = {0};
+  for (std::size_t i = 0; i < n;) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    i += 1 + (x >> 33) % 400;
+    if (i < n) cuts.insert(i);
+  }
+  for (const auto& [at, t] : clock) cuts.insert(at);
+  Plan plan;
+  plan.cuts.assign(cuts.begin(), cuts.end());
+  plan.clock = clock;
+  return plan;
+}
+
+// A clock that moves every 300 samples to a sane sample's time plus 0-4
+// hours: sometimes into the next day, so PollClock closes the open day
+// before the stream leaves it.
+std::map<std::size_t, TimeSec> ClockMoves(const std::vector<Sample>& stream) {
+  std::map<std::size_t, TimeSec> moves;
+  for (std::size_t at = 0, k = 0; at < stream.size(); at += 300, ++k) {
+    std::size_t sane = at;
+    while (sane < stream.size() &&
+           (stream[sane].t < 0 || stats::DayOf(stream[sane].t) > 1000)) {
+      ++sane;
+    }
+    if (sane == stream.size()) break;
+    moves[at] = stream[sane].t + static_cast<TimeSec>(k % 5) * 3600;
+  }
+  return moves;
+}
+
+// Records the index of the next WAL write, so a test can aim a scripted
+// fault at the write a given call makes. Checkpoint writes are not counted.
+struct WriteOpCounter final : runtime::IoFaultHook {
+  WriteFault WriteAt(std::uint64_t op, std::size_t /*len*/) const override {
+    next_op = op + 1;
+    return {};
+  }
+  WriteFault CheckpointWriteAt(std::uint64_t /*op*/,
+                               std::size_t /*len*/) const override {
+    return {};
+  }
+  mutable std::uint64_t next_op = 0;
+};
+
+// Everything a path leaves behind.
+struct PathResult {
+  SubmitSummary summary;
+  ServiceStats stats;  // shards zeroed: runs at 1 and 4 shards compare
+  WatermarkInfo watermark;
+  std::string log;
+  std::string wal;     // the segment's bytes
+  std::string logged;  // the segment decoded: every sample and close, in order
+  // With a WriteOpCounter: the next write op before and after each call.
+  std::vector<std::uint64_t> ops_before, ops_after;
+};
+
+std::string Logged(const std::string& dir) {
+  std::string logged;
+  const WalRecoverStats stats = ReadWal(
+      dir,
+      [&](std::span<const Sample> batch) {
+        for (const Sample& s : batch) {
+          logged += "s " + std::to_string(s.t) + " " + std::to_string(s.link) +
+                    " " + std::to_string(s.vp) + " " +
+                    std::to_string(static_cast<int>(s.kind)) + " " +
+                    std::to_string(std::bit_cast<std::uint32_t>(s.value)) +
+                    "\n";
+        }
+      },
+      [&](std::int64_t day) { logged += "c " + std::to_string(day) + "\n"; });
+  EXPECT_TRUE(stats.ok) << stats.error;
+  return logged;
+}
+
+// Feeds `stream` to a fresh service with a WAL under `dir` along `plan`,
+// then finishes the stream and closes the WAL, as a drained daemon does.
+PathResult RunPath(const std::string& dir, const std::vector<Sample>& stream,
+                   const Plan& plan, int shards,
+                   runtime::IoFaultHook* hook = nullptr,
+                   const WriteOpCounter* counter = nullptr) {
+  runtime::ManualClock clock;
+  ServiceConfig config = WalServiceConfig(dir, shards);
+  config.max_day_jump = kAdmissionJump;
+  if (!plan.clock.empty()) config.clock = &clock;
+  config.wal_fault_hook = hook;
+  PathResult r;
+  {
+    CongestionService service(config);
+    EXPECT_TRUE(service.RecoverFromWal().ok);
+    for (std::size_t k = 0; k < plan.cuts.size(); ++k) {
+      const std::size_t begin = plan.cuts[k];
+      const std::size_t end =
+          k + 1 < plan.cuts.size() ? plan.cuts[k + 1] : stream.size();
+      if (const auto move = plan.clock.find(begin); move != plan.clock.end()) {
+        clock.Set(move->second);
+        service.PollClock();
+      }
+      if (counter != nullptr) r.ops_before.push_back(counter->next_op);
+      if (plan.single) {
+        switch (service.Submit(stream[begin])) {
+          case SubmitOutcome::kAccepted:
+            ++r.summary.accepted;
+            break;
+          case SubmitOutcome::kLate:
+            ++r.summary.late;
+            break;
+          case SubmitOutcome::kRejected:
+            ++r.summary.rejected;
+            break;
+          case SubmitOutcome::kShed:
+            ++r.summary.shed;
+            break;
+        }
+      } else {
+        const SubmitSummary got = service.SubmitBatch(
+            std::span<const Sample>(stream).subspan(begin, end - begin));
+        r.summary.accepted += got.accepted;
+        r.summary.late += got.late;
+        r.summary.rejected += got.rejected;
+        r.summary.shed += got.shed;
+      }
+      if (counter != nullptr) r.ops_after.push_back(counter->next_op);
+    }
+    (void)service.FinishStream();
+    (void)service.CloseWalClean();  // kIoError once degraded
+    r.stats = service.Stats();
+    r.stats.shards = 0;
+    r.watermark = service.Watermark();
+    r.log = service.VerdictLogText();
+  }
+  r.wal = SegmentBytes(dir);
+  r.logged = Logged(dir);
+  return r;
+}
+
+// Recovers a copy of `from` into a fresh service: the third path.
+PathResult Replay(const std::string& from, const std::string& dir, int shards,
+                  bool with_clock) {
+  fs::copy(from, dir, fs::copy_options::recursive);
+  // Past every logged sample, so the clock bound rejects none of them.
+  runtime::ManualClock clock(std::int64_t{1000} * stats::kSecPerDay);
+  ServiceConfig config = WalServiceConfig(dir, shards);
+  config.max_day_jump = kAdmissionJump;
+  if (with_clock) config.clock = &clock;
+  CongestionService service(config);
+  const WalRecoverStats stats = service.RecoverFromWal();
+  EXPECT_TRUE(stats.ok) << stats.error;
+  PathResult r;
+  r.stats = service.Stats();
+  r.stats.shards = 0;
+  r.watermark = service.Watermark();
+  r.log = service.VerdictLogText();
+  return r;
+}
+
+void ExpectSameSummary(const SubmitSummary& a, const SubmitSummary& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.accepted, b.accepted) << what;
+  EXPECT_EQ(a.late, b.late) << what;
+  EXPECT_EQ(a.rejected, b.rejected) << what;
+  EXPECT_EQ(a.shed, b.shed) << what;
+}
+
+// Two live paths over one stream: the same answers, state, verdicts and
+// logged stream (the record framing follows the calls; the samples and
+// closes in it do not).
+void ExpectSameLive(const PathResult& a, const PathResult& b,
+                    const std::string& what) {
+  ExpectSameSummary(a.summary, b.summary, what);
+  EXPECT_TRUE(a.stats == b.stats) << what;
+  EXPECT_TRUE(a.watermark == b.watermark) << what;
+  EXPECT_TRUE(a.log == b.log) << what;
+  EXPECT_TRUE(a.logged == b.logged) << what;
+}
+
+// A replay rebuilds the live service's durable state. Rejected samples are
+// never logged, so a replay counts none, and the last closed day is the
+// last durable (published) one.
+void ExpectReplayed(const PathResult& live, const PathResult& replayed,
+                    const std::string& what) {
+  ServiceStats want = live.stats;
+  want.samples_rejected = 0;
+  EXPECT_TRUE(replayed.stats == want) << what;
+  EXPECT_EQ(replayed.watermark.samples_consumed,
+            live.watermark.samples_consumed)
+      << what;
+  EXPECT_EQ(replayed.watermark.watermark_t, live.watermark.watermark_t) << what;
+  EXPECT_EQ(replayed.watermark.last_closed_day, live.stats.last_closed_day)
+      << what;
+  EXPECT_EQ(replayed.watermark.saw_sample, live.watermark.saw_sample) << what;
+  EXPECT_TRUE(replayed.log == live.log) << what;
+}
+
+TEST(ServiceAdmission, Sha256MatchesTheStandardVectors) {
+  EXPECT_EQ(Sha256Hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(Sha256Hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(Sha256Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+// The WAL is the durable record and disk_mb counts its bytes: admission in
+// runs must write exactly the segments per-sample admission wrote. The
+// hashes were recorded before run admission, from this stream at each
+// split; every split must reproduce them at 1 and at 4 shards.
+TEST(ServiceAdmission, WalSegmentsMatchTheirGoldenAtOneAndFourShards) {
+  const std::vector<Sample> stream = HostileStream(29, 12, 4);
+  struct Golden {
+    std::size_t split = 0;
+    const char* sha256 = nullptr;
+  };
+  const Golden kGolden[] = {
+      {1, "d0fd78daca788118b53f39f85daebed6971bbd89c6c873f20e78682246cf6118"},
+      {16, "cb20da7be5e6f14e8d928723ef7d81aaa99ea85e33db174f9ab351597f487a06"},
+      {192, "7c2fb2853ea2793e082d628c1773ec8fb9c48c74992f65f3a78b6123d922c66d"},
+      {4096, "c0e2a57a554a5e59d14ee996559adca46be5e764da5cd63a3c5f4fd84fa6876e"},
+  };
+  for (const Golden& golden : kGolden) {
+    for (const int shards : {1, 4}) {
+      const std::string what = "split " + std::to_string(golden.split) +
+                               ", " + std::to_string(shards) + " shards";
+      WalDir dir("admission_golden");
+      const PathResult r =
+          RunPath(dir.path, stream, EvenPlan(stream.size(), golden.split),
+                  shards);
+      EXPECT_EQ(Sha256Hex(r.wal), golden.sha256) << what;
+      // The stream is as hostile as it says.
+      EXPECT_GT(r.summary.late, 10u) << what;
+      EXPECT_GT(r.summary.rejected, 10u) << what;
+      EXPECT_GT(r.stats.verdicts, 0u) << what;
+      EXPECT_EQ(r.summary.shed, 0u) << what;
+    }
+  }
+}
+
+// The three callers of admission agree on one hostile stream: SubmitBatch
+// at random splits, Submit one sample at a time, and WAL replay of each
+// one's log, without a clock and with a ManualClock that PollClock follows.
+TEST(ServiceAdmission, BatchSingleAndReplayPathsAgree) {
+  const std::vector<Sample> stream = HostileStream(31, 12, 4);
+  for (const bool with_clock : {false, true}) {
+    const std::map<std::size_t, TimeSec> clock =
+        with_clock ? ClockMoves(stream) : std::map<std::size_t, TimeSec>{};
+    Plan single = SinglePlan(stream.size());
+    single.clock = clock;
+    const Plan batch = RandomPlan(stream.size(), 5, clock);
+    const std::string tag = with_clock ? "clock" : "stream";
+    WalDir one_dir("admission_one"), batch_dir("admission_batch"),
+        batch4_dir("admission_batch4"), replay_one("admission_replay_one"),
+        replay_batch("admission_replay_batch");
+    const PathResult one = RunPath(one_dir.path, stream, single, 1);
+    const PathResult batched = RunPath(batch_dir.path, stream, batch, 1);
+    const PathResult batched4 = RunPath(batch4_dir.path, stream, batch, 4);
+    EXPECT_GT(one.summary.late, 10u) << tag;
+    EXPECT_GT(one.summary.rejected, 10u) << tag;
+    EXPECT_GT(one.stats.verdicts, 0u) << tag;
+    ExpectSameLive(one, batched, tag + ": Submit vs SubmitBatch");
+    ExpectSameLive(batched, batched4, tag + ": 1 vs 4 shards");
+    EXPECT_TRUE(batched.wal == batched4.wal) << tag << ": 1 vs 4 shards";
+    ExpectReplayed(one, Replay(one_dir.path, replay_one.path, 4, with_clock),
+                   tag + ": replay of the Submit log");
+    ExpectReplayed(batched,
+                   Replay(batch_dir.path, replay_batch.path, 1, with_clock),
+                   tag + ": replay of the SubmitBatch log");
+  }
+}
+
+// The same three paths when the disk fills: ENOSPC strikes the WAL marker
+// of a day that a sample closes, and the rest of that sample's batch is
+// shed in the same call. The sample opens its batch, so every path has
+// acknowledged the same prefix when the fault lands. The marker is a
+// different write op on each path; a fault-free pass with a
+// WriteOpCounter finds it.
+TEST(ServiceAdmission, PathsAgreeWhenEnospcStrikesMidBatch) {
+  const std::vector<Sample> stream = HostileStream(37, 12, 4);
+  for (const bool with_clock : {false, true}) {
+    const std::map<std::size_t, TimeSec> clock =
+        with_clock ? ClockMoves(stream) : std::map<std::size_t, TimeSec>{};
+    const std::string tag = with_clock ? "clock" : "stream";
+    Plan single = SinglePlan(stream.size());
+    single.clock = clock;
+    Plan batch = RandomPlan(stream.size(), 11, clock);
+    // A closing call writes its record, then the day's marker: the marker
+    // is the call's second write.
+    const auto marker_op = [&](const Plan& plan, std::size_t call) {
+      WalDir dir("admission_enospc_probe");
+      WriteOpCounter counter;
+      const PathResult probe =
+          RunPath(dir.path, stream, plan, 1, &counter, &counter);
+      EXPECT_GE(probe.ops_after[call] - probe.ops_before[call], 2u) << tag;
+      return probe.ops_before[call] + 1;
+    };
+    // The first sample past mid-stream that closes a day, with no clock
+    // move right after it.
+    std::size_t closer = stream.size() / 2;
+    {
+      WalDir dir("admission_enospc_probe");
+      WriteOpCounter counter;
+      const PathResult probe =
+          RunPath(dir.path, stream, single, 1, &counter, &counter);
+      while (closer < stream.size() &&
+             (probe.ops_after[closer] - probe.ops_before[closer] < 2 ||
+              clock.contains(closer + 1))) {
+        ++closer;
+      }
+      ASSERT_LT(closer, stream.size()) << tag;
+    }
+    std::erase(batch.cuts, closer + 1);
+    const auto at = std::lower_bound(batch.cuts.begin(), batch.cuts.end(),
+                                     closer);
+    if (at == batch.cuts.end() || *at != closer) batch.cuts.insert(at, closer);
+    const std::size_t batch_call = static_cast<std::size_t>(
+        std::lower_bound(batch.cuts.begin(), batch.cuts.end(), closer) -
+        batch.cuts.begin());
+    runtime::ScriptedIoFaults::Config one_faults, batch_faults;
+    one_faults.enospc_at_op =
+        static_cast<std::int64_t>(marker_op(single, closer));
+    batch_faults.enospc_at_op =
+        static_cast<std::int64_t>(marker_op(batch, batch_call));
+    runtime::ScriptedIoFaults one_hook(one_faults), batch_hook(batch_faults);
+    WalDir one_dir("admission_enospc_one"),
+        batch_dir("admission_enospc_batch"),
+        batch4_dir("admission_enospc_batch4"),
+        replay_one("admission_enospc_replay_one"),
+        replay_batch("admission_enospc_replay_batch");
+    const PathResult one = RunPath(one_dir.path, stream, single, 1, &one_hook);
+    const PathResult batched =
+        RunPath(batch_dir.path, stream, batch, 1, &batch_hook);
+    const PathResult batched4 =
+        RunPath(batch4_dir.path, stream, batch, 4, &batch_hook);
+    EXPECT_TRUE(one.watermark.degraded) << tag;
+    EXPECT_GT(one.summary.shed, 0u) << tag;
+    EXPECT_GT(one.stats.verdicts, 0u) << tag;
+    ExpectSameLive(one, batched, tag + ": Submit vs SubmitBatch");
+    ExpectSameLive(batched, batched4, tag + ": 1 vs 4 shards");
+    EXPECT_TRUE(batched.wal == batched4.wal) << tag << ": 1 vs 4 shards";
+    ExpectReplayed(one, Replay(one_dir.path, replay_one.path, 4, with_clock),
+                   tag + ": replay of the Submit log");
+    ExpectReplayed(batched,
+                   Replay(batch_dir.path, replay_batch.path, 1, with_clock),
+                   tag + ": replay of the SubmitBatch log");
+  }
 }
 
 }  // namespace
