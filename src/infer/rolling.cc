@@ -129,14 +129,12 @@ bool RollingAutocorr::Load(runtime::BlobReader& in) {
   EnsureRings();
   std::uint32_t days = 0;
   if (!in.GetU32(&days) || days > day_defined_.size()) return false;
-  // Held days fill slots 0..days-1, oldest first.
+  // Held days fill slots 0..days-1, oldest first; a row is one read.
   for (std::size_t slot = 0; slot < days; ++slot) {
     const std::size_t row = Row(slot);
-    for (std::size_t s = 0; s < counts_.size(); ++s) {
-      if (!in.GetFloat(&far_[row + s])) return false;
-    }
-    for (std::size_t s = 0; s < counts_.size(); ++s) {
-      if (!in.GetFloat(&near_[row + s])) return false;
+    if (!in.GetFloats(far_.data() + row, counts_.size()) ||
+        !in.GetFloats(near_.data() + row, counts_.size())) {
+      return false;
     }
     SummarizeDay(slot);
   }

@@ -13,6 +13,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -97,6 +99,20 @@ class BlobReader {
     std::uint32_t v = 0;
     if (!GetU32(&v)) return false;
     *out = std::bit_cast<float>(v);
+    return true;
+  }
+  // `n` floats, as PutFloat wrote them, with one bounds check: on a
+  // little-endian host the bytes are the floats, so they arrive in one
+  // copy. False (nothing read) when fewer than 4n bytes remain.
+  bool GetFloats(float* out, std::size_t n) noexcept {
+    static_assert(sizeof(float) == 4 && std::numeric_limits<float>::is_iec559);
+    if (n > remaining() / 4) return false;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, data_.data() + pos_, n * 4);
+      pos_ += n * 4;
+    } else {
+      for (std::size_t i = 0; i < n; ++i) (void)GetFloat(&out[i]);
+    }
     return true;
   }
   bool GetI64(std::int64_t* out) noexcept {

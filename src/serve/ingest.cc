@@ -28,12 +28,14 @@ void IngestShard::Stop() {
   running_ = false;
 }
 
-void IngestShard::PushSample(const Sample& s) {
+void IngestShard::PushRun(std::span<const Sample> run) {
   Msg msg;
   msg.kind = MsgKind::kSample;
-  msg.sample = s;
-  ring_.Stage(msg);
-  // A run is a quarter ring (at least one sample: Staged() >= 1 here).
+  for (const Sample& s : run) {
+    msg.sample = s;
+    ring_.Stage(msg);
+  }
+  // A hand-off is at least a quarter ring, checked once per run.
   if (ring_.Staged() >= ring_.capacity() / 4) ring_.Publish();
 }
 

@@ -6,12 +6,14 @@
 // shard always holds complete per-link state and day-close verdicts never
 // need a cross-shard merge.
 //
-// Samples move in runs (see serve/ring.h): PushSample stages a sample on
-// the ring and publishes once a quarter ring is staged (4,096 samples at
-// the default 16,384 slots, ~21 pair-day batches), handing the whole run
-// to the worker with one cursor store and one wake; the worker drains it
-// in one pass. A close marker or Stop carries out whatever is staged. A
-// per-sample handover parked and woke the worker for every sample, ~0.8 us
+// Samples move in runs (see serve/ring.h): PushRun stages a key run (a
+// pair-day batch is one) on the ring and, once a quarter ring is staged
+// (4,096 samples at the default 16,384 slots, ~21 pair-day batches),
+// publishes, handing everything staged to the worker with one cursor store
+// and one wake; the worker drains it in one pass. The quarter-ring check
+// runs once per key run, so a publish can carry up to one key run more. A
+// close marker or Stop carries out whatever is staged. A per-sample
+// handover parked and woke the worker for every sample, ~0.8 us
 // each on a 4-vCPU Xeon host; a publish per pair-day batch still paid one
 // park/wake cycle per ~2 us of engine work. A producer that finds the ring
 // full publishes before it parks (publish-before-wait), or the worker
@@ -45,6 +47,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,10 +89,12 @@ class IngestShard {
   void Stop();
 
   // ---- producer side (one thread) -------------------------------------------
-  // Stages the sample; the worker sees it once a quarter ring is staged,
-  // or at the next close marker or Stop. Blocks while the ring is full,
-  // publishing first.
-  void PushSample(const Sample& s);
+  // Stages a run of samples; the worker sees them once a quarter ring is
+  // staged at the end of a run, or at the next close marker or Stop.
+  // Blocks while the ring is full, publishing first.
+  void PushRun(std::span<const Sample> run);
+  // A run of one.
+  void PushSample(const Sample& s) { PushRun(std::span<const Sample>(&s, 1)); }
   // Schedules the finalization of `day`, published together with every
   // staged sample. The producer must push close markers in ascending day
   // order, after every sample of that day.
@@ -126,8 +131,9 @@ class IngestShard {
 
   // ---- counters (any thread) -------------------------------------------------
   // Advances once per drained run and before each day close is published.
-  // A diagnostic: it may trail PushSample by up to a quarter ring of staged
-  // samples until the next close marker or Stop, but never a closed day.
+  // A diagnostic: it may trail PushRun by up to a quarter ring (plus one key
+  // run) of staged samples until the next close marker or Stop, but never a
+  // closed day.
   std::uint64_t SamplesProcessed() const noexcept {
     return samples_.load(std::memory_order_relaxed);
   }

@@ -46,26 +46,110 @@ void CongestionService::Stop() {
 }
 
 SubmitOutcome CongestionService::Submit(const Sample& s) {
-  ReapClose();
-  const bool was_degraded = degraded_;
-  SubmitOutcome outcome = SubmitOne(s, true);
-  PublishAccepted();
-  // The single-sample path flushes per call so the caller's view ("Submit
-  // returned") never runs ahead of the log. Batch for throughput.
-  if (WalLive() && FlushWalPending() != WalStatus::kOk) EnterDegraded();
-  // Degradation may also strike inside SubmitOne's day-close walk, so the
-  // shed conversion keys off the transition itself: consumed in memory but
-  // not durable must never read as acknowledged.
-  if (!was_degraded && degraded_ &&
-      (outcome == SubmitOutcome::kAccepted ||
-       outcome == SubmitOutcome::kLate)) {
-    outcome = SubmitOutcome::kShed;
+  // A batch of one: it flushes its own WAL record, so the caller's view
+  // ("Submit returned") never runs ahead of the log. Batch for throughput.
+  const SubmitSummary summary = SubmitBatch(std::span<const Sample>(&s, 1));
+  if (summary.accepted > 0) return SubmitOutcome::kAccepted;
+  if (summary.late > 0) return SubmitOutcome::kLate;
+  if (summary.rejected > 0) return SubmitOutcome::kRejected;
+  return SubmitOutcome::kShed;
+}
+
+CongestionService::Window CongestionService::OpenWindow(
+    bool live, std::int64_t clock_last_day) const {
+  if (!saw_sample_) return {};
+  const std::int64_t watermark_day = stats::DayOf(watermark_t_);
+  // Live, a watermark bump closes through the day before the watermark's;
+  // it costs nothing only when those days are closed already (a recovered
+  // log may end between a day's first sample and its marker).
+  if (live && producer_last_closed_ < watermark_day - 1) return {};
+  const std::int64_t first =
+      std::max(producer_last_closed_ + 1, -kMaxAbsSampleDay);
+  const std::int64_t last =
+      std::min({watermark_day, watermark_day + config_.max_day_jump,
+                clock_last_day, kMaxAbsSampleDay});
+  if (last < first) return {};
+  Window window;
+  window.begin = stats::StartOfDay(first);
+  window.width = static_cast<std::uint64_t>(stats::StartOfDay(last + 1) -
+                                            window.begin);
+  return window;
+}
+
+SubmitSummary CongestionService::AdmitRun(std::span<const Sample> batch,
+                                          bool live) {
+  SubmitSummary summary;
+  // The clock's admission bound, read once per call: a live clock only
+  // moves forward, so a later reading would admit at least as much.
+  const std::int64_t clock_last_day =
+      config_.clock == nullptr
+          ? kMaxAbsSampleDay
+          : stats::DayOf(config_.clock->NowSec()) + config_.max_day_jump;
+  std::size_t i = 0;
+  while (i < batch.size()) {
+    if (live && degraded_) {
+      summary.shed += batch.size() - i;
+      break;
+    }
+    // The longest prefix inside the open window: one unsigned compare a
+    // sample, and the newest timestamp.
+    const Window window = OpenWindow(live, clock_last_day);
+    TimeSec watermark = watermark_t_;
+    std::size_t end = i;
+    for (; end < batch.size(); ++end) {
+      const TimeSec t = batch[end].t;
+      if (static_cast<std::uint64_t>(t) -
+              static_cast<std::uint64_t>(window.begin) >=
+          window.width) {
+        break;
+      }
+      watermark = std::max(watermark, t);
+    }
+    if (end > i) {
+      ConsumeRun(batch.subspan(i, end - i), live);
+      watermark_t_ = watermark;
+      summary.accepted += end - i;
+      i = end;
+      if (i == batch.size()) break;
+    }
+    switch (SubmitOne(batch[i++], live)) {
+      case SubmitOutcome::kAccepted:
+        ++summary.accepted;
+        break;
+      case SubmitOutcome::kLate:
+        ++summary.late;
+        break;
+      case SubmitOutcome::kRejected:
+        ++summary.rejected;
+        break;
+      case SubmitOutcome::kShed:
+        ++summary.shed;
+        break;
+    }
   }
-  return outcome;
+  return summary;
+}
+
+void CongestionService::ConsumeRun(std::span<const Sample> run, bool live) {
+  // Write-ahead, as in SubmitOne: the run joins the pending WAL record.
+  if (live && WalLive()) {
+    wal_pending_.insert(wal_pending_.end(), run.begin(), run.end());
+  } else {
+    samples_consumed_ += run.size();
+  }
+  // One hand-off per key run: a link's samples all route to one shard.
+  std::size_t begin = 0;
+  for (std::size_t k = 1; k <= run.size(); ++k) {
+    if (k == run.size() || run[k].link != run[begin].link) {
+      shards_[run[begin].link % shards_.size()]->PushRun(
+          run.subspan(begin, k - begin));
+      begin = k;
+    }
+  }
+  run_accepted_ += run.size();
 }
 
 SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
-  if (live && degraded_) return SubmitOutcome::kShed;
   const std::int64_t day = stats::DayOf(s.t);
   // Admission bounds: the timestamp came off the wire, and an accepted
   // sample moves the watermark — which CloseThrough then walks day by day.
@@ -112,7 +196,7 @@ SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
   }
   // The shard hands its staged samples to its worker in quarter-ring runs;
   // a close marker below carries out whatever is still staged.
-  shards_[s.link % shards_.size()]->PushSample(s);
+  shards_[s.link % shards_.size()]->PushRun(std::span<const Sample>(&s, 1));
   ++run_accepted_;
   if (s.t > watermark_t_) {
     watermark_t_ = s.t;
@@ -126,24 +210,8 @@ SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
 
 SubmitSummary CongestionService::SubmitBatch(std::span<const Sample> samples) {
   ReapClose();
-  SubmitSummary summary;
   const bool was_degraded = degraded_;
-  for (const Sample& s : samples) {
-    switch (SubmitOne(s, true)) {
-      case SubmitOutcome::kAccepted:
-        ++summary.accepted;
-        break;
-      case SubmitOutcome::kLate:
-        ++summary.late;
-        break;
-      case SubmitOutcome::kRejected:
-        ++summary.rejected;
-        break;
-      case SubmitOutcome::kShed:
-        ++summary.shed;
-        break;
-    }
-  }
+  SubmitSummary summary = AdmitRun(samples, true);
   PublishAccepted();
   // One WAL record for the whole consumed run: the ack the session sends
   // after this return is the durability receipt — so if anything degraded
@@ -190,10 +258,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
         // The logged stream is exactly the consumed stream: re-admitting it
         // reproduces every accepted/late decision, because the watermark
         // and closed-day state evolve identically.
-        for (const Sample& s : batch) {
-          const SubmitOutcome replayed = SubmitOne(s, false);
-          (void)replayed;  // logged samples re-admit deterministically
-        }
+        (void)AdmitRun(batch, false);
         PublishAccepted();
       },
       [this](std::int64_t day) { CloseThrough(day); });

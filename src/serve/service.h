@@ -13,6 +13,20 @@
 // the checkpoints are the durable record. ServiceStats::raw_points is
 // always 0.
 //
+// Admission: Submit (a run of one), SubmitBatch and WAL replay share one
+// run admission. Once a sample has been seen, the open window is every
+// day after the last closed one through the watermark's day, capped at
+// max_day_jump past the watermark and, with a clock, past the clock's day
+// (read once per call). A sample inside it can be neither late, rejected
+// nor day-closing, so it costs a compare, an optional watermark bump and a
+// count; the pending WAL record takes a run of them in one insert, and
+// each key run (consecutive samples of one link) reaches its shard in one
+// hand-off. Every other sample — a first one, a late one, one out of
+// bounds, one that enters a new day — takes the per-sample rule. Live, the
+// window stays empty while a watermark bump would still close days. The
+// WAL records and verdicts are byte for byte what per-sample admission
+// wrote.
+//
 // Day-close triggers:
 //   stream mode  a submitted sample whose timestamp enters day d+1 closes
 //                day d (the watermark advanced past it);
@@ -208,9 +222,9 @@ class CongestionService {
   ServiceStats Stats() const;
   // Samples the shard workers have taken off their rings in this process
   // (IngestShard::SamplesProcessed, summed). A diagnostic that no verdict,
-  // stat or query reads: it may trail ingest by up to a quarter ring per
-  // shard until the next day close, checkpoint or Stop, and never counts a
-  // sample still staged on a ring.
+  // stat or query reads: it may trail ingest by up to a quarter ring (plus
+  // one key run) per shard until the next day close, checkpoint or Stop, and
+  // never counts a sample still staged on a ring.
   std::uint64_t SamplesProcessed() const;
   // The canonical, append-only verdict log (FormatVerdictLine rows, days in
   // close order, links ascending within a day) — what the replay gate diffs.
@@ -221,11 +235,30 @@ class CongestionService {
   int shards() const noexcept { return static_cast<int>(shards_.size()); }
 
  private:
-  // The shared admission + routing path. `live` distinguishes normal ingest
-  // (WAL-append every consumed sample, let a watermark advance close days)
-  // from WAL replay (no re-append; closes come from replayed markers only,
-  // so clock-driven closes recover deterministically too).
-  // Pushes the sample to its shard, which publishes in quarter-ring runs.
+  // The days no sample can be late in, rejected from, or close by moving
+  // the watermark: timestamps in [begin, begin + width). Width 0: none.
+  struct Window {
+    TimeSec begin = 0;
+    std::uint64_t width = 0;
+  };
+  // The open window (see the header comment). `clock_last_day` is the
+  // clock's admission bound, kMaxAbsSampleDay without a clock.
+  Window OpenWindow(bool live, std::int64_t clock_last_day) const;
+  // The one admission path, for Submit, SubmitBatch and WAL replay. `live`
+  // distinguishes normal ingest (WAL-append every consumed sample, let a
+  // watermark advance close days) from WAL replay (no re-append; closes
+  // come from replayed markers only, so clock-driven closes recover
+  // deterministically too). Samples inside the open window are consumed a
+  // run at a time; every other sample takes SubmitOne. Sheds the rest of
+  // the batch once a live service degrades.
+  SubmitSummary AdmitRun(std::span<const Sample> batch, bool live);
+  // Consumes a run of open-window samples: the pending WAL record takes it
+  // in one insert, and each key run (consecutive samples of one link) goes
+  // to its shard in one PushRun.
+  void ConsumeRun(std::span<const Sample> run, bool live);
+  // One sample outside the open window: a first sample, a late one, one
+  // out of bounds, or one that moves the watermark into a new day (which
+  // joins the pending record and its shard's ring before the close marker).
   SubmitOutcome SubmitOne(const Sample& s, bool live);
   // Moves run_accepted_ into samples_accepted_: once per Submit, SubmitBatch
   // and replayed WAL record.

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "infer/autocorr.h"
 #include "infer/level_shift.h"
 #include "infer/rolling.h"
 #include "infer/streaming.h"
+#include "runtime/checkpoint.h"
 #include "stats/rng.h"
 
 namespace manic::infer {
@@ -350,6 +355,49 @@ TEST(Rolling, WindowFillsAndEvicts) {
   for (int d = 0; d < 8; ++d) rolling.AddDay(row, row);
   EXPECT_TRUE(rolling.WindowFull());
   EXPECT_EQ(rolling.DaysHeld(), 5);
+}
+
+// Load reads each held row in one piece: a blob cut anywhere short of its
+// end (in the day count, mid-row, between the far and near rows) is
+// refused, and the whole blob restores the window bit for bit.
+TEST(Rolling, LoadRestoresTheWindowAndRefusesEveryTruncation) {
+  AutocorrConfig cfg;
+  cfg.window_days = 5;
+  RollingAutocorr saved(cfg);
+  stats::Rng rng(29);
+  // Seven days into a five-day window: the ring has wrapped.
+  for (int d = 0; d < 7; ++d) {
+    std::vector<float> far(96), near(96, 5.0f);
+    for (int s = 0; s < 96; ++s) {
+      far[s] = static_cast<float>(11.0 + std::fabs(rng.Normal(0.0, 0.4)) +
+                                  (s >= 80 && s < 90 ? 25.0 : 0.0));
+    }
+    far[static_cast<std::size_t>(d)] = std::numeric_limits<float>::quiet_NaN();
+    saved.AddDay(far, near);
+  }
+  runtime::BlobWriter out;
+  saved.Save(out);
+  const std::string blob = out.Take();
+  ASSERT_EQ(blob.size(), 4u + 5u * 2u * 96u * 4u);
+  RollingAutocorr loaded(cfg);
+  runtime::BlobReader in(blob);
+  ASSERT_TRUE(loaded.Load(in));
+  EXPECT_TRUE(in.AtEnd());
+  runtime::BlobWriter again;
+  loaded.Save(again);
+  EXPECT_EQ(again.str(), blob);
+  const DayClassification want = saved.Classify();
+  const DayClassification got = loaded.Classify();
+  EXPECT_EQ(got.recurring, want.recurring);
+  EXPECT_EQ(got.congested, want.congested);
+  EXPECT_EQ(got.fraction, want.fraction);
+  EXPECT_EQ(got.threshold_ms, want.threshold_ms);
+  EXPECT_EQ(got.congested_intervals, want.congested_intervals);
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    RollingAutocorr partial(cfg);
+    runtime::BlobReader short_in(std::string_view(blob).substr(0, cut));
+    EXPECT_FALSE(partial.Load(short_in)) << "cut at byte " << cut;
+  }
 }
 
 TEST(Rolling, DetectsOnsetOfCongestion) {

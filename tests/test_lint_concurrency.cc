@@ -7,6 +7,7 @@
 // with the committed concurrency.txt and require a clean report.
 //
 // MANIC_SOURCE_DIR is injected by tests/CMakeLists.txt.
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -329,8 +330,10 @@ TEST(ConcurrencyTree, RealTreeRolesActuallyBind) {
 
 TEST(ConcurrencyTree, RingStagingCursorOwnershipBinds) {
   // The same guard for the ring's staging cursor: hand it to the shard
-  // worker and the event loop's staging writes (Submit -> SubmitOne ->
-  // PushSample -> Stage) must be caught.
+  // worker and the event loop's staging writes must be caught. With every
+  // entry point the close markers' chain shows (CloseThrough ->
+  // PushCloseDay -> Push -> Stage); with Submit alone, the samples' (Submit
+  // -> SubmitBatch -> AdmitRun -> ... -> PushRun -> Stage).
   const std::string root(MANIC_SOURCE_DIR);
   std::string error;
   ConcurrencySpec spec = LoadConcurrencySpec(
@@ -339,19 +342,35 @@ TEST(ConcurrencyTree, RingStagingCursorOwnershipBinds) {
   ASSERT_EQ(spec.owned.count("SpscRing::staged_"), 1u);
   EXPECT_EQ(spec.owned.at("SpscRing::staged_"), "event-loop");
   spec.owned["SpscRing::staged_"] = "shard-worker";
-  const TreeAnalysis analysis =
-      AnalyzeTree({root + "/src/serve"}, nullptr, nullptr, nullptr, &spec);
-  int cross_role = 0;
-  for (const Finding& f : analysis.findings) {
-    if (f.rule == "thread-role" &&
-        f.message.find("staged_") != std::string::npos &&
-        f.message.find("written from role 'event-loop'") !=
-            std::string::npos) {
-      ++cross_role;
+  const auto staging_flows = [&] {
+    const TreeAnalysis analysis =
+        AnalyzeTree({root + "/src/serve"}, nullptr, nullptr, nullptr, &spec);
+    std::vector<std::string> flows;
+    for (const Finding& f : analysis.findings) {
+      if (f.rule == "thread-role" &&
+          f.message.find("staged_") != std::string::npos &&
+          f.message.find("written from role 'event-loop'") !=
+              std::string::npos) {
+        flows.push_back(f.message);
+      }
     }
-  }
-  EXPECT_GE(cross_role, 1)
-      << "thread-role pass no longer sees the event loop staging samples";
+    return flows;
+  };
+  EXPECT_FALSE(staging_flows().empty())
+      << "thread-role pass no longer sees the event loop staging records";
+  spec.roles["event-loop"] = {"CongestionService::Submit"};
+  const std::vector<std::string> flows = staging_flows();
+  const bool via_push_run =
+      std::any_of(flows.begin(), flows.end(), [](const std::string& m) {
+        const std::size_t admit = m.find("CongestionService::AdmitRun -> ");
+        return admit != std::string::npos &&
+               m.find("IngestShard::PushRun -> SpscRing::Stage", admit) !=
+                   std::string::npos;
+      });
+  EXPECT_TRUE(via_push_run)
+      << "thread-role pass no longer sees Submit staging samples through "
+         "AdmitRun and PushRun; flows seen: "
+      << flows.size();
 }
 
 TEST(ConcurrencyTree, JsonReportCarriesSchemaVersion5) {

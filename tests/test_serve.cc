@@ -1033,13 +1033,15 @@ TEST(IngestShard, PublishesQuarterRingRunsAndEveryMarker) {
                                    return stats::DayOf(s.t) == 1;
                                  });
   ASSERT_EQ(day1 - stream.begin(), 96);
+  const std::span<const Sample> all(stream);
   IngestShard shard(config);
   shard.Start();
-  // A full run goes out on its own; the next 15 stay staged. Unpublished
-  // records are invisible to the worker, so once the run is counted the
-  // count cannot move on.
-  for (std::uint64_t i = 0; i < 2 * kRun - 1; ++i) shard.PushSample(stream[i]);
+  // A run of a quarter ring goes out on its own; a run of 15 stays staged.
+  // Unpublished records are invisible to the worker, so once the run is
+  // counted the count cannot move on.
+  shard.PushRun(all.first(kRun));
   EXPECT_TRUE(SamplesArrive(shard, kRun)) << "a full run was not published";
+  shard.PushRun(all.subspan(kRun, kRun - 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(shard.SamplesProcessed(), kRun) << "a partial run was published";
   // A close marker carries the partial run out with it. WaitClosed parks
@@ -1053,7 +1055,8 @@ TEST(IngestShard, PublishesQuarterRingRunsAndEveryMarker) {
   EXPECT_TRUE(shard.TakeDayVerdicts().empty());  // no full window yet
   // So does a checkpoint marker.
   const std::string part = ::testing::TempDir() + "/manic_ingest_shard.part";
-  for (auto it = day1; it != day1 + 5; ++it) shard.PushSample(*it);
+  const std::size_t day1_at = static_cast<std::size_t>(day1 - stream.begin());
+  shard.PushRun(all.subspan(day1_at, 5));
   shard.PushCheckpointDay(1, part, /*sync=*/false, nullptr);
   ASSERT_TRUE(SamplesArrive(shard, 2 * kRun - 1 + 5))
       << "the checkpoint marker left samples staged";
@@ -1061,19 +1064,26 @@ TEST(IngestShard, PublishesQuarterRingRunsAndEveryMarker) {
   WaitOrAbort(closed, std::chrono::seconds(5),
               "the checkpoint marker was never published");
   EXPECT_TRUE(shard.TakeCheckpointPart().ok);
+  // A run longer than the ring publishes before it waits for room, and
+  // its tail, a quarter ring, goes out when the run ends.
+  shard.PushRun(all.subspan(day1_at + 5, 80));
+  ASSERT_TRUE(SamplesArrive(shard, 2 * kRun - 1 + 5 + 80))
+      << "a run longer than the ring left samples staged";
   // And Stop.
-  for (auto it = day1 + 5; it != day1 + 12; ++it) shard.PushSample(*it);
+  shard.PushRun(all.subspan(day1_at + 85, 7));
   shard.Stop();
-  EXPECT_EQ(shard.SamplesProcessed(), 2 * kRun - 1 + 12);
+  EXPECT_EQ(shard.SamplesProcessed(), 2 * kRun - 1 + 92);
   std::remove(part.c_str());
 }
 
 TEST(CongestionService, SubmitAndRecoveryHandRunsOverWithoutAClose) {
   // Day 0 only, 8 links x 2 VPs: 384 samples for each of the two shards,
-  // in two batches of 192 a shard. With 1,024 slots a run is 256 samples:
-  // the first batch stays staged, the second publishes one run per shard,
-  // and only a close or Stop carries the last 128 a shard.
-  constexpr std::uint64_t kRun = 256;
+  // in two batches of 192 a shard, as key runs of 96 (one link's two VPs).
+  // With 1,024 slots a hand-off is at least a quarter ring, 256 samples,
+  // checked at the end of each key run: the first batch stays staged, the
+  // second publishes three key runs a shard, and only a close or Stop
+  // carries the last 96 a shard.
+  constexpr std::uint64_t kRun = 3 * 96;
   const std::vector<Sample> day0 = SyntheticStream(/*links=*/8, /*days=*/1);
   ASSERT_EQ(day0.size(), 768u);
   const std::span<const Sample> first(day0.data(), day0.size() / 2);
@@ -1086,8 +1096,8 @@ TEST(CongestionService, SubmitAndRecoveryHandRunsOverWithoutAClose) {
       ::testing::TempDir() + "/manic_serve_handover_wal";
   std::filesystem::remove_all(wal_root);
 
-  // Runs of a quarter ring arrive with no close; FinishStream or Stop
-  // carries the rest.
+  // Runs of at least a quarter ring arrive with no close; FinishStream or
+  // Stop carries the rest.
   const auto carry = [&](CongestionService& service, bool finish,
                          const char* half) {
     EXPECT_TRUE(SamplesArrive(service, 2 * kRun))

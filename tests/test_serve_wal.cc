@@ -2880,9 +2880,10 @@ TEST(ServiceAdmission, Sha256MatchesTheStandardVectors) {
 }
 
 // The WAL is the durable record and disk_mb counts its bytes: admission in
-// runs must write exactly the segments per-sample admission wrote. The
-// hashes were recorded before run admission, from this stream at each
-// split; every split must reproduce them at 1 and at 4 shards.
+// runs must write exactly the segments per-sample admission wrote, and
+// reach the same answers. The hashes and counts were recorded from
+// per-sample admission, from this stream at each split; every split must
+// reproduce them at 1 and at 4 shards.
 TEST(ServiceAdmission, WalSegmentsMatchTheirGoldenAtOneAndFourShards) {
   const std::vector<Sample> stream = HostileStream(29, 12, 4);
   struct Golden {
@@ -2904,13 +2905,49 @@ TEST(ServiceAdmission, WalSegmentsMatchTheirGoldenAtOneAndFourShards) {
           RunPath(dir.path, stream, EvenPlan(stream.size(), golden.split),
                   shards);
       EXPECT_EQ(Sha256Hex(r.wal), golden.sha256) << what;
-      // The stream is as hostile as it says.
-      EXPECT_GT(r.summary.late, 10u) << what;
-      EXPECT_GT(r.summary.rejected, 10u) << what;
-      EXPECT_GT(r.stats.verdicts, 0u) << what;
+      // The outcome does not depend on the split.
+      EXPECT_EQ(r.summary.accepted, 3962u) << what;
+      EXPECT_EQ(r.summary.late, 702u) << what;
+      EXPECT_EQ(r.summary.rejected, 27u) << what;
       EXPECT_EQ(r.summary.shed, 0u) << what;
+      EXPECT_EQ(r.stats.verdicts, 22u) << what;
+      EXPECT_EQ(r.stats.days_closed, 12) << what;
+      EXPECT_EQ(r.watermark.samples_consumed, 4664u) << what;
+      EXPECT_EQ(r.watermark.watermark_t, 1036799) << what;
+      EXPECT_EQ(Sha256Hex(r.log),
+                "df40def49e5b01087afca04ed590784813a83001c8506eca2264e14f22ddc20b")
+          << what;
     }
   }
+}
+
+// The open window never admits what the per-sample rule rejects: with the
+// clock set back behind the watermark, the clock's admission bound is
+// tighter than the window's days, and a sample inside them is rejected.
+TEST(ServiceAdmission, ClockCapsTheOpenWindow) {
+  runtime::ManualClock clock(10 * stats::kSecPerDay + 7200);
+  ServiceConfig config = WalServiceConfig("", 2);
+  config.max_day_jump = kAdmissionJump;
+  config.clock = &clock;
+  CongestionService service(config);
+  service.Start();
+  const Sample first = MakeSample(10, 3, 1);
+  EXPECT_EQ(service.Submit(first), SubmitOutcome::kAccepted);
+  // Day 10 is the open window. The clock falls back to day 3: its bound
+  // is day 7.
+  clock.Set(3 * stats::kSecPerDay);
+  const std::vector<Sample> behind = {MakeSample(10, 1, 1), MakeSample(10, 2, 2),
+                                      MakeSample(10, 0, 3)};
+  EXPECT_EQ(service.Submit(behind[0]), SubmitOutcome::kRejected);
+  SubmitSummary summary = service.SubmitBatch(behind);
+  EXPECT_EQ(summary.rejected, 3u);
+  EXPECT_EQ(summary.accepted, 0u);
+  // At day 6 the bound is day 10 again.
+  clock.Set(6 * stats::kSecPerDay);
+  summary = service.SubmitBatch(behind);
+  EXPECT_EQ(summary.accepted, 3u);
+  EXPECT_EQ(service.Stats().samples_rejected, 4u);
+  EXPECT_EQ(service.Watermark().watermark_t, first.t);
 }
 
 // The three callers of admission agree on one hostile stream: SubmitBatch
