@@ -130,14 +130,20 @@ SubmitSummary CongestionService::AdmitRun(std::span<const Sample> batch,
   return summary;
 }
 
-void CongestionService::ConsumeRun(std::span<const Sample> run, bool live) {
-  // Write-ahead, as in SubmitOne: the run joins the pending WAL record.
+void CongestionService::LogConsumed(std::span<const Sample> run, bool live) {
   if (live && WalLive()) {
     wal_pending_.insert(wal_pending_.end(), run.begin(), run.end());
   } else {
-    samples_consumed_ += run.size();
+    samples_consumed_ += run.size();  // no WAL, or replaying what is durable
   }
-  // One hand-off per key run: a link's samples all route to one shard.
+}
+
+void CongestionService::ConsumeRun(std::span<const Sample> run, bool live) {
+  // Write-ahead: the run joins the pending WAL record before it reaches the
+  // rings; the record is flushed before any ack or day close publishes.
+  LogConsumed(run, live);
+  // One hand-off per key run: a link's samples all route to one shard,
+  // which hands its staged samples to its worker in quarter-ring runs.
   std::size_t begin = 0;
   for (std::size_t k = 1; k <= run.size(); ++k) {
     if (k == run.size() || run[k].link != run[begin].link) {
@@ -179,23 +185,13 @@ SubmitOutcome CongestionService::SubmitOne(const Sample& s, bool live) {
     // *consumed* — they advance the durable watermark — so they go to the
     // WAL too: replaying one lands on the identical closed day and drops
     // identically, keeping recovered counts exact.
-    if (live && WalLive()) {
-      wal_pending_.push_back(s);
-    } else {
-      ++samples_consumed_;  // no WAL, or replaying what is already durable
-    }
+    LogConsumed(std::span<const Sample>(&s, 1), live);
     samples_late_.fetch_add(1, std::memory_order_relaxed);
     return SubmitOutcome::kLate;
   }
-  // Write-ahead: the sample joins the pending WAL record before it reaches
-  // the rings; the record is flushed before any ack or day close publishes.
-  if (live && WalLive()) {
-    wal_pending_.push_back(s);
-  } else {
-    ++samples_consumed_;  // no WAL, or replaying what is already durable
-  }
-  // The shard hands its staged samples to its worker in quarter-ring runs;
-  // a close marker below carries out whatever is still staged.
+  // Write-ahead, then staged before any close marker below, which carries
+  // it out.
+  LogConsumed(std::span<const Sample>(&s, 1), live);
   shards_[s.link % shards_.size()]->PushRun(std::span<const Sample>(&s, 1));
   ++run_accepted_;
   if (s.t > watermark_t_) {

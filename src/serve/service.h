@@ -23,9 +23,10 @@
 // each key run (consecutive samples of one link) reaches its shard in one
 // hand-off. Every other sample — a first one, a late one, one out of
 // bounds, one that enters a new day — takes the per-sample rule. Live, the
-// window stays empty while a watermark bump would still close days. The
-// WAL records and verdicts are byte for byte what per-sample admission
-// wrote.
+// window stays empty while a watermark bump would still close days. So
+// every sample gets the answer the per-sample rule gives it, and the WAL
+// records and verdicts do not depend on where runs begin or end (the
+// ServiceAdmission tests).
 //
 // Day-close triggers:
 //   stream mode  a submitted sample whose timestamp enters day d+1 closes
@@ -252,10 +253,13 @@ class CongestionService {
   // run at a time; every other sample takes SubmitOne. Sheds the rest of
   // the batch once a live service degrades.
   SubmitSummary AdmitRun(std::span<const Sample> batch, bool live);
-  // Consumes a run of open-window samples: the pending WAL record takes it
-  // in one insert, and each key run (consecutive samples of one link) goes
-  // to its shard in one PushRun.
+  // Consumes a run of admitted samples: the pending WAL record takes it in
+  // one insert, and each key run (consecutive samples of one link) goes to
+  // its shard in one PushRun.
   void ConsumeRun(std::span<const Sample> run, bool live);
+  // The WAL side of consuming a run, accepted or late: live, it joins the
+  // pending record; without a WAL, or in replay, it is only counted.
+  void LogConsumed(std::span<const Sample> run, bool live);
   // One sample outside the open window: a first sample, a late one, one
   // out of bounds, or one that moves the watermark into a new day (which
   // joins the pending record and its shard's ring before the close marker).
