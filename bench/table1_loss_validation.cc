@@ -117,9 +117,6 @@ int main() {
         std::set<std::int64_t> episode_days;
         if (episodic) {
           for (int k = 0; k < 10; ++k) {
-            // 10 artifact days per month in a validation harness, not a
-            // per-sample path.
-            // manic-lint: allow(layout: alloc-scale)
             episode_days.insert(month_start_day +
                                 static_cast<std::int64_t>(
                                     rng.UniformInt(static_cast<std::uint64_t>(
@@ -156,11 +153,8 @@ int main() {
             db, inference, far, near, dl.vp_name, dl.far_addr, m0, m1);
         summary.Add(r);
         if (r.eligible) {
-          // Both tallies saturate at the 9 ISPs of Table 1: bounded by AS
-          // count, not link count.
-          // manic-lint: allow(layout: alloc-scale)
           access_seen.insert(dl.info->access);
-          tcp_seen.insert(dl.info->tcp);  // manic-lint: allow(layout: alloc-scale)
+          tcp_seen.insert(dl.info->tcp);
         }
       }
     }

@@ -18,12 +18,12 @@
 // plane (src/serve) and cross-checks every daemon verdict and quality grade
 // against the batch result, exiting 1 on any mismatch — the batch/live
 // parity gate. --serve-shards sets the daemon's ingest shard count (the
-// verdict log must be byte-identical at any value), --verdict-log writes
-// the canonical log, --record captures the wire-format stream to a file.
-// --wal-dir (implies --serve) runs the parity pass crash-safe: every
-// consumed sample is write-ahead logged under the directory, a prior
-// incarnation's log is replayed first, and the run ends with the
-// clean-shutdown marker.
+// verdict log must be byte-identical at any value), and --verdict-log
+// writes the canonical log. --wal-dir (implies --serve) runs the parity
+// pass crash-safe: every consumed sample is write-ahead logged under the
+// directory, a prior incarnation's log is replayed first, and the run ends
+// with the clean-shutdown marker. The WAL is also the stream's recording:
+// a fresh service's RecoverFromWal replays it.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -36,7 +36,6 @@
 #include "runtime/metrics.h"
 #include "runtime/parse.h"
 #include "scenario/driver.h"
-#include "serve/replay.h"
 #include "serve/service.h"
 #include "sim/faults/fault_plan.h"
 #include "stats/calendar.h"
@@ -53,7 +52,6 @@ bool RunServeParity(const scenario::StudyOptions& options,
                     const std::map<std::pair<std::int64_t, std::uint64_t>,
                                    analysis::DayLinkRecord>& batch_records,
                     int shards, const std::string& verdict_log_path,
-                    const std::string& record_path,
                     const std::string& wal_dir) {
   serve::ServiceConfig config;
   config.shards = shards;
@@ -75,19 +73,12 @@ bool RunServeParity(const scenario::StudyOptions& options,
     }
   }
 
-  serve::StreamWriter recorder;
-  if (!record_path.empty() && !recorder.Open(record_path)) {
-    std::fprintf(stderr, "cannot open --record %s\n", record_path.c_str());
-    return false;
-  }
-
   // The export needs a fresh world: discovery mutates the network's RNG and
   // path cache, so the batch world cannot be reused.
   scenario::UsBroadband world = scenario::MakeUsBroadband();
   const stats::TimeSec bin = options.autocorr.bin_width;
   std::vector<serve::Sample> batch_samples;
   std::uint64_t dropped = 0;
-  bool record_ok = true;
   scenario::ExportStudyStream(
       world, options,
       [&](topo::VpId vp, topo::LinkId link, std::int64_t day,
@@ -110,9 +101,6 @@ bool RunServeParity(const scenario::StudyOptions& options,
         }
         const serve::SubmitSummary sub = service.SubmitBatch(batch_samples);
         dropped += sub.late + sub.rejected;
-        if (!record_path.empty() && !recorder.WriteBatch(batch_samples)) {
-          record_ok = false;
-        }
       });
   service.FinishStream();
   if (dropped != 0) {
@@ -120,10 +108,6 @@ bool RunServeParity(const scenario::StudyOptions& options,
     // further down; fail loudly at the point of loss instead.
     std::fprintf(stderr, "serve parity: %llu samples dropped at admission\n",
                  static_cast<unsigned long long>(dropped));
-    return false;
-  }
-  if (!record_path.empty() && (!record_ok || !recorder.Close())) {
-    std::fprintf(stderr, "failed writing --record %s\n", record_path.c_str());
     return false;
   }
 
@@ -229,7 +213,7 @@ bool RunServeParity(const scenario::StudyOptions& options,
 
 int main(int argc, char** argv) {
   std::string faults_path, checkpoint_path;
-  std::string verdict_log_path, record_path, wal_dir;
+  std::string verdict_log_path, wal_dir;
   bool serve_mode = false;
   bool args_ok = true;
   int serve_shards = 1;
@@ -247,8 +231,6 @@ int main(int argc, char** argv) {
       serve_mode = true;
     } else if (arg == "--verdict-log" && i + 1 < argc) {
       verdict_log_path = argv[++i];
-    } else if (arg == "--record" && i + 1 < argc) {
-      record_path = argv[++i];
     } else if (arg == "--wal-dir" && i + 1 < argc) {
       wal_dir = argv[++i];
       serve_mode = true;
@@ -257,7 +239,7 @@ int main(int argc, char** argv) {
                    "unknown flag %s\nusage: %s [days] [max_vps] [threads] "
                    "[--faults <plan.txt>] [--checkpoint <log>] [--serve] "
                    "[--serve-shards N] [--verdict-log <path>] "
-                   "[--record <path>] [--wal-dir <dir>]\n",
+                   "[--wal-dir <dir>]\n",
                    arg.c_str(), argv[0]);
       return 2;
     } else {
@@ -284,7 +266,7 @@ int main(int argc, char** argv) {
                  "bad numeric argument\nusage: %s [days] [max_vps] [threads] "
                  "[--faults <plan.txt>] [--checkpoint <log>] [--serve] "
                  "[--serve-shards N] [--verdict-log <path>] "
-                 "[--record <path>] [--wal-dir <dir>]\n",
+                 "[--wal-dir <dir>]\n",
                  argv[0]);
     return 2;
   }
@@ -391,7 +373,7 @@ int main(int argc, char** argv) {
 
   if (serve_mode) {
     if (!RunServeParity(options, result, batch_records, serve_shards,
-                        verdict_log_path, record_path, wal_dir)) {
+                        verdict_log_path, wal_dir)) {
       return 1;
     }
   }

@@ -255,7 +255,7 @@ else
   echo "(UBSan half skipped: MANIC_CHECK_SKIP_UBSAN=1)"
 fi
 
-stage "[6/6] static analysis: manic-lint (rules + graph + semantic + trust + concurrency + layout passes), clang-tidy, thread-safety"
+stage "[6/6] static analysis: manic-lint (rules + graph + semantic + trust + concurrency passes), clang-tidy, thread-safety"
 cmake --build build -j "$JOBS" --target manic_lint
 # Exit 1 = error-severity findings (fail), 2 = warnings only (pass, but the
 # findings are on stderr and in the JSON), 3 = usage/IO trouble (fail).
@@ -264,7 +264,6 @@ LINT_STATUS=0
   --units tools/manic_lint/units.txt \
   --trust tools/manic_lint/trust.txt \
   --concurrency tools/manic_lint/concurrency.txt \
-  --layout tools/manic_lint/layout.txt \
   src bench tests examples > "$OUT_DIR/lint.json" || LINT_STATUS=$?
 case "$LINT_STATUS" in
   0) echo "manic-lint clean (report: $OUT_DIR/lint.json)" ;;

@@ -41,7 +41,6 @@
 #include "serve/daemon.h"
 #include "serve/engine.h"
 #include "serve/ingest.h"
-#include "serve/replay.h"
 #include "serve/ring.h"
 #include "serve/sample.h"
 #include "serve/service.h"

@@ -23,10 +23,10 @@
 namespace manic::runtime {
 
 // The fixed prefix of one on-disk checkpoint record: [key][length], both
-// little-endian u64, followed by `length` blob bytes. The shape is pinned
-// in tools/manic_lint/layout.txt (wire-abi pass) — adding a field here
-// would silently orphan every existing checkpoint file, so the pin forces
-// a deliberate format-version bump instead.
+// little-endian u64, followed by `length` blob bytes. The bytes are pinned
+// by CheckpointFormat.RecordHeaderGoldenBytes — adding a field here would
+// silently orphan every existing checkpoint file, so the test forces a
+// deliberate format-version bump instead.
 struct CheckpointRecordHeader {
   std::uint64_t key = 0;
   std::uint64_t length = 0;
@@ -35,6 +35,7 @@ struct CheckpointRecordHeader {
   // rather than a bare 16.
   static constexpr std::uint64_t kEncodedSize = 16;
 };
+static_assert(sizeof(CheckpointRecordHeader) <= 16);
 
 class BlobWriter {
  public:

@@ -190,8 +190,7 @@ std::vector<VpLink> DiscoverPairs(UsBroadband& world,
                            dl.base_near_ms, seeds.Leaf(vp, dl.info->link)),
            dl.vp_name, dl.info, from, until, vp, dl.vp_utc_offset,
            world.topo->vp(vp).host_as == UsBroadband::kComcast});
-      // manic-lint: allow(layout: alloc-scale) -- discovery-time dedup set,
-      observed_links.insert(dl.info->link);  // built once per campaign.
+      observed_links.insert(dl.info->link);
     }
   }
   return pairs;

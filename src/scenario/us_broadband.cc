@@ -511,8 +511,7 @@ UsBroadband MakeUsBroadband(const UsBroadbandOptions& options) {
     const auto vps_it = w.vps_by_access.find(ep.access);
     if (vps_it != w.vps_by_access.end()) {
       for (const VpId vp : vps_it->second) {
-        // manic-lint: allow(layout: alloc-scale) -- world-build time, one
-        vp_cities.insert(t.router(t.vp(vp).first_hop).city);  // city per VP.
+        vp_cities.insert(t.router(t.vp(vp).first_hop).city);
       }
     }
     std::stable_sort(links.begin(), links.end(),
@@ -532,9 +531,6 @@ UsBroadband MakeUsBroadband(const UsBroadbandOptions& options) {
             w.net->DemandFor(info.link, sim::Direction::kBtoA);
         demand.default_peak_utilization =
             0.45 + 0.35 * stats::Rng::HashToUnit(options.seed, info.link, 7);
-        // manic-lint: allow(layout: alloc-scale) -- a handful of episode
-        // regimes per link, appended once at world construction.
-        // manic-lint: allow(layout: alloc-scale)
         demand.regimes.push_back({StudyMonthStartDay(ep.m0),
                                   StudyMonthStartDay(ep.m1), ep.peak0,
                                   ep.peak1});

@@ -106,6 +106,8 @@ struct ServiceStats {
 
   friend bool operator==(const ServiceStats&, const ServiceStats&) = default;
 };
+// Its kStats encoding is pinned by Codec.StatsGoldenBytes.
+static_assert(sizeof(ServiceStats) <= 72);
 
 // ---- primitive byte streams -------------------------------------------------
 

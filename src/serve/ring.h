@@ -176,9 +176,9 @@ class SpscRing {
 
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
   // The producer's line: the published cursor, the staging cursor and the
-  // cached consumer cursor are all written by the producer alone, so they
-  // share it (`same-line` in tools/manic_lint/layout.txt); the consumer
-  // reads tail_ once per drain.
+  // cached consumer cursor are all written by the producer alone, so
+  // sharing a line costs them nothing; the consumer reads tail_ once per
+  // drained run, never while the producer stages.
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // published cursor
   std::uint64_t staged_ = 0;       // producer-only: staged_ >= tail_
   std::uint64_t cached_head_ = 0;  // producer-only: a past head_, <= head_

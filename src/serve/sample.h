@@ -36,5 +36,7 @@ struct Sample {
   SampleKind kind = SampleKind::kFarRtt;
   float value = 0.0f;  // unit depends on kind (see SampleKind)
 };
+// One per ingested sample, in every batch and ring slot.
+static_assert(sizeof(Sample) <= 24);
 
 }  // namespace manic::serve

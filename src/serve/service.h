@@ -115,10 +115,7 @@ inline constexpr std::int64_t kNoDayClosed =
 // overflow the int day-count casts downstream.
 inline constexpr std::int64_t kMaxAbsSampleDay = 1'000'000;
 
-// Declaration order groups by concern (admission, sharding, durability);
-// the 8 reorderable padding bytes are irrelevant in a one-per-process
-// config struct.
-// manic-lint: allow(layout: layout-pad)
+// Declaration order groups by concern (admission, sharding, durability).
 struct ServiceConfig {
   EngineConfig engine;
   std::size_t ring_capacity = 1 << 14;
@@ -341,9 +338,10 @@ class CongestionService {
   std::uint64_t run_accepted_ = 0;
   // A close was handed to the closer and not yet waited for.
   bool close_handed_ = false;
-  // The ingest counters: producer-written, read by Stats() from any thread.
-  // Their own line, apart from the producer's plain fields and from the
-  // query lock (see `same-line` in tools/manic_lint/layout.txt).
+  // The ingest counters share one line: the producer alone writes all
+  // three, and Stats() reads them with relaxed loads and never spins on
+  // them. The line keeps them apart from the producer's plain fields and
+  // from the query lock.
   alignas(64) std::atomic<std::uint64_t> samples_accepted_{0};
   std::atomic<std::uint64_t> samples_late_{0};
   std::atomic<std::uint64_t> samples_rejected_{0};

@@ -26,6 +26,8 @@ struct VerdictRecord {
 
   friend bool operator==(const VerdictRecord&, const VerdictRecord&) = default;
 };
+// One per day-link row of the verdict log, which every checkpoint rewrites.
+static_assert(sizeof(VerdictRecord) <= 40);
 
 // Canonical single-line text form (newline-terminated), deterministic down
 // to the byte for identical records.

@@ -98,8 +98,8 @@ enum class [[nodiscard]] WalStatus : std::uint8_t {
 
 // The fixed prefix of one on-disk WAL record — the frame header, [u32
 // length][u8 type], length counting the type byte plus the payload. Pinned
-// in tools/manic_lint/layout.txt (wire-abi): widening it would orphan every
-// existing log, so the pin forces a deliberate format bump instead.
+// byte for byte by WalCodec.FrameHeaderGoldenBytes: widening it would orphan
+// every existing log, so the test forces a deliberate format bump instead.
 struct WalRecordHeader {
   std::uint32_t length = 0;
   std::uint8_t type = 0;

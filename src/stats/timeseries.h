@@ -18,6 +18,8 @@ struct Point {
   double value = 0.0;
   friend bool operator==(const Point&, const Point&) = default;
 };
+// One per series point: t and value, no padding.
+static_assert(sizeof(Point) <= 16);
 
 enum class BinAgg { kMin, kMax, kMean, kCount, kSum };
 

@@ -42,6 +42,8 @@ struct Interface {
   LinkId link = kInvalidId;
   Asn addr_owner = 0;  // AS (or IXP pseudo-AS) whose space the address is from
 };
+// One per interface in the topology.
+static_assert(sizeof(Interface) <= 20);
 
 // Per-router ICMP behaviour knobs, consumed by the simulator.
 struct IcmpProfile {
@@ -89,6 +91,8 @@ struct Link {
   double propagation_ms() const noexcept { return params.propagation_ms; }
   double capacity_gbps() const noexcept { return params.capacity_gbps; }
 };
+// One per link in the topology.
+static_assert(sizeof(Link) <= 48);
 
 struct AsInfo {
   Asn asn = 0;

@@ -45,8 +45,7 @@ void TslpScheduler::UpdateProbingSet(const bdrmap::BdrmapResult& borders) {
             static_cast<int>(target.dests.size()) < config_.max_dests) {
           TslpDest kept = d;
           kept.consecutive_misses = 0;
-          // manic-lint: allow(layout: alloc-scale) -- capped at max_dests
-          target.dests.push_back(kept);  // (default 10) per link, build-time.
+          target.dests.push_back(kept);
         }
       }
     }
@@ -65,11 +64,9 @@ void TslpScheduler::UpdateProbingSet(const bdrmap::BdrmapResult& borders) {
         }
         const TslpDest dest{d.dst, d.flow, d.far_ttl, d.origin, 0, false};
         if (static_cast<int>(target.dests.size()) < config_.max_dests) {
-          // manic-lint: allow(layout: alloc-scale) -- capped at max_dests.
           target.dests.push_back(dest);
         } else if (static_cast<int>(target.backups.size()) <
                    config_.max_backups) {
-          // manic-lint: allow(layout: alloc-scale) -- capped at max_backups.
           target.backups.push_back(dest);
         }
       }

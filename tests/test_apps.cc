@@ -26,7 +26,6 @@ class AppsTest : public ::testing::Test {
     bdrmap::Bdrmap bdrmap(*s_.net, s_.vp);
     const auto borders = bdrmap.RunCycle(kQuiet);
     for (const auto& link : borders.links) {
-      // manic-lint: allow(layout: alloc-scale) -- test fixture, tiny scenario.
       known_far_.insert(link.far_addr.value());
     }
     // A far address on the congested NYC peering.

@@ -7,6 +7,7 @@
 // MANIC_SOURCE_DIR is injected by tests/CMakeLists.txt.
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -160,6 +161,29 @@ TEST(LintSuppression, AllowCommentsSilenceOnlyTheNamedRule) {
   EXPECT_EQ(findings[0].line, 22);  // allow(stdout-write) must not cover it
 }
 
+TEST(LintSuppression, StaleAllowIsAnErrorAndLeavesTheAudit) {
+  const TreeAnalysis analysis =
+      AnalyzeTree({FixturePath("stale_allow.cc")}, nullptr);
+  ASSERT_FALSE(analysis.read_failure);
+  std::vector<std::string> stale;
+  for (const Finding& f : analysis.findings) {
+    ASSERT_EQ(f.rule, "stale-allow") << RenderText(analysis.findings);
+    EXPECT_EQ(f.severity, Severity::kError);
+    stale.push_back(std::to_string(f.line) + " " +
+                    f.message.substr(0, f.message.find(')') + 1));
+  }
+  EXPECT_EQ(stale, (std::vector<std::string>{"9 allow(alloc-scale)",
+                                             "9 allow(layout)",
+                                             "11 allow(unit)"}))
+      << RenderText(analysis.findings);
+  // Only live names reach the suppression audit.
+  EXPECT_EQ(analysis.suppressions,
+            (std::map<std::string, int>{{"all", 1},
+                                        {"atomic-order", 1},
+                                        {"concurrency", 1},
+                                        {"units", 1}}));
+}
+
 TEST(LintJson, ReportIsPinnedAndEscaped) {
   const auto findings = LintFixture("json_case.cc", "src/sim/roll.cc");
   ASSERT_EQ(findings.size(), 1u);
@@ -205,6 +229,36 @@ TEST(LintTree, FixtureDirectoryIsSkippedByTheWalker) {
   ASSERT_GT(files, 0);
   for (const Finding& f : findings)
     EXPECT_EQ(f.file.find("lint_fixtures"), std::string::npos) << f.file;
+}
+
+TEST(RuleCatalog, LayoutTierIsRetired) {
+  const std::vector<RuleInfo>& catalog = RuleCatalog();
+  EXPECT_EQ(catalog.size(), 20u);
+  for (const RuleInfo& info : catalog) {
+    EXPECT_NE(info.family, "layout") << info.rule;
+  }
+  for (const char* rule : {"layout-budget", "layout-pad", "false-sharing",
+                           "alloc-scale", "wire-abi"}) {
+    EXPECT_TRUE(std::none_of(
+        catalog.begin(), catalog.end(),
+        [&](const RuleInfo& info) { return info.rule == rule; }))
+        << rule;
+  }
+  const auto stale = std::find_if(
+      catalog.begin(), catalog.end(),
+      [](const RuleInfo& info) { return info.rule == "stale-allow"; });
+  ASSERT_NE(stale, catalog.end());
+  EXPECT_EQ(stale->family, "token");
+}
+
+TEST(RuleCatalog, JsonPayloadShape) {
+  const std::string json = RenderRuleCatalogJson();
+  EXPECT_EQ(json.rfind("{\"schema_version\":5,\"rules\":[", 0), 0u) << json;
+  EXPECT_NE(json.find("\"rule\":\"stale-allow\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"family\":\"concurrency\""), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"family\":\"layout\""), std::string::npos) << json;
 }
 
 }  // namespace

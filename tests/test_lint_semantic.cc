@@ -259,10 +259,9 @@ TEST(SemanticTree, RealTreeIsCleanUnderBothPasses) {
   for (const auto& [rule, count] : analysis.suppressions) {
     total_allows += count;
   }
-  // Family-form allows (`allow(layout: alloc-scale)`) count twice: once
-  // under the rule and once under the family, so the tier-6 layout allows
-  // roughly double their line count here.
-  EXPECT_LT(total_allows, 50) << "suppression creep";
+  // Family-form allows (`allow(concurrency: atomic-order)`) count twice:
+  // once under the rule and once under the family.
+  EXPECT_LT(total_allows, 20) << "suppression creep";
 }
 
 TEST(SemanticTree, JsonReportCarriesSchemaVersion5) {

@@ -38,7 +38,6 @@
 #include "serve/daemon.h"
 #include "serve/engine.h"
 #include "serve/ingest.h"
-#include "serve/replay.h"
 #include "serve/ring.h"
 #include "serve/sample.h"
 #include "serve/service.h"
@@ -670,59 +669,6 @@ TEST(CongestionService, VerdictLogIsIdenticalAtAnyShardCount) {
   EXPECT_NE(reference.find("recurring=1"), std::string::npos);
 }
 
-TEST(CongestionService, RecordedStreamReplaysIdentically) {
-  const std::vector<Sample> stream = SyntheticStream(3, 10);
-  const std::string path =
-      ::testing::TempDir() + "/manic_serve_stream.bin";
-
-  // Record in day-sized batches.
-  {
-    StreamWriter writer;
-    ASSERT_TRUE(writer.Open(path));
-    std::size_t i = 0;
-    while (i < stream.size()) {
-      const std::size_t n = std::min<std::size_t>(257, stream.size() - i);
-      ASSERT_TRUE(writer.WriteBatch(
-          std::span<const Sample>(stream.data() + i, n)));
-      i += n;
-    }
-    ASSERT_TRUE(writer.Close());
-    EXPECT_EQ(writer.samples_written(), stream.size());
-  }
-
-  CongestionService live(SmallServiceConfig(1));
-  live.Start();
-  EXPECT_EQ(live.SubmitBatch(stream).accepted, stream.size());
-  live.FinishStream();
-  const std::string live_log = live.VerdictLogText();
-  live.Stop();
-
-  CongestionService replayed(SmallServiceConfig(4));
-  replayed.Start();
-  const ReplayStats stats = ReplayFile(&replayed, path);
-  EXPECT_TRUE(stats.ok) << stats.error;
-  EXPECT_EQ(stats.samples, stream.size());
-  EXPECT_EQ(replayed.VerdictLogText(), live_log);
-  replayed.Stop();
-  std::remove(path.c_str());
-}
-
-TEST(ReplayFile, RejectsGarbageAndForeignFrames) {
-  const std::string path = ::testing::TempDir() + "/manic_serve_bad.bin";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::string frame = EncodeQueryStats();  // not a submit frame
-    std::fwrite(frame.data(), 1, frame.size(), f);
-    std::fclose(f);
-  }
-  CongestionService service(SmallServiceConfig(1));
-  service.Start();
-  EXPECT_FALSE(ReplayFile(&service, path).ok);
-  service.Stop();
-  std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------- queries
 
 TEST(CongestionService, QueryPlaneSemantics) {
@@ -1252,24 +1198,6 @@ TEST(ServeParity, MiniStudyVerdictsMatchTheBatchStudyAtOneAndFourShards) {
     service->Stop();
   }
   EXPECT_EQ(services[0]->VerdictLogText(), services[1]->VerdictLogText());
-}
-
-TEST(ReplayFile, RejectsOutOfBoundsTimestamps) {
-  const std::string path = ::testing::TempDir() + "/manic_serve_oob.bin";
-  {
-    StreamWriter writer;
-    ASSERT_TRUE(writer.Open(path));
-    const std::vector<Sample> hostile = {
-        {std::numeric_limits<TimeSec>::max() - 1, 1, 1, SampleKind::kFarRtt,
-         1.0f}};
-    ASSERT_TRUE(writer.WriteBatch(hostile));
-    ASSERT_TRUE(writer.Close());
-  }
-  CongestionService service(SmallServiceConfig(1));
-  service.Start();
-  EXPECT_FALSE(ReplayFile(&service, path).ok);
-  service.Stop();
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- session

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -31,11 +32,11 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/checkpoint.h"
 #include "runtime/clock.h"
 #include "runtime/io_fault.h"
 #include "serve/checkpoint.h"
 #include "serve/codec.h"
-#include "serve/replay.h"
 #include "serve/sample.h"
 #include "serve/service.h"
 #include "serve/session.h"
@@ -1635,6 +1636,146 @@ TEST(WalCodec, SubmitBatchGoldenBytes) {
   EXPECT_FALSE(DecodeSubmitBatch(payload, &decoded));
 }
 
+// The 5-byte frame header every wire message and WAL record starts with:
+// [u32 length][u8 type], length counting the type byte plus the payload.
+// The day-close marker is written by its own encoder, so it is pinned
+// whole; a 514-byte payload pins the length's byte order.
+TEST(WalCodec, FrameHeaderGoldenBytes) {
+  const std::string marker(
+      "\x09\x00\x00\x00"                   // length: type + 8 payload bytes
+      "\x0e"                               // kFlushAck
+      "\x08\x07\x06\x05\x04\x03\x02\x01",  // last closed day
+      13);
+  std::string to;
+  EncodeFlushAckTo(0x0102030405060708, &to);
+  EXPECT_EQ(to, marker);
+  EXPECT_EQ(EncodeFlushAck(0x0102030405060708), marker);
+
+  const std::string frame =
+      EncodeFrame(MsgType::kQueryStats, std::string(514, '\x5a'));
+  ASSERT_EQ(frame.size(), WalRecordHeader::kEncodedSize + 514);
+  EXPECT_EQ(frame.substr(0, WalRecordHeader::kEncodedSize),
+            std::string("\x03\x02\x00\x00"  // length 515
+                        "\x08",             // kQueryStats
+                        5));
+  FrameView view;
+  ASSERT_EQ(ParseFrame(frame, &view), FrameParse::kFrame);
+  EXPECT_EQ(view.type, MsgType::kQueryStats);
+  EXPECT_EQ(view.payload.size(), 514u);
+}
+
+// The kStats payload, byte for byte: every field distinct, so swapping or
+// resizing any two fields in EncodeStats (even in DecodeStats too, which
+// round-trips) changes these bytes.
+TEST(Codec, StatsGoldenBytes) {
+  ServiceStats stats;
+  stats.samples = 0x0a0b0c0d;
+  stats.verdicts = 0x21;
+  stats.links = 0x32;
+  stats.last_closed_day = -2;
+  stats.days_closed = 0x43;
+  stats.shards = 4;
+  stats.raw_points = 0x54;
+  stats.samples_late = 0x65;
+  stats.samples_rejected = 0x0176;
+  const std::string golden(
+      "\x45\x00\x00\x00"                  // length: type + 68 payload bytes
+      "\x0b"                              // kStats
+      "\x0d\x0c\x0b\x0a\x00\x00\x00\x00"  // samples
+      "\x21\x00\x00\x00\x00\x00\x00\x00"  // verdicts
+      "\x32\x00\x00\x00\x00\x00\x00\x00"  // links
+      "\xfe\xff\xff\xff\xff\xff\xff\xff"  // last_closed_day
+      "\x43\x00\x00\x00\x00\x00\x00\x00"  // days_closed
+      "\x04\x00\x00\x00"                  // shards
+      "\x54\x00\x00\x00\x00\x00\x00\x00"  // raw_points
+      "\x65\x00\x00\x00\x00\x00\x00\x00"  // samples_late
+      "\x76\x01\x00\x00\x00\x00\x00\x00",  // samples_rejected
+      73);
+  EXPECT_EQ(EncodeStats(stats), golden);
+  FrameView frame;
+  ASSERT_EQ(ParseFrame(golden, &frame), FrameParse::kFrame);
+  EXPECT_EQ(frame.type, MsgType::kStats);
+  EXPECT_EQ(frame.payload.size(), 68u);
+  ServiceStats back;
+  ASSERT_TRUE(DecodeStats(frame.payload, &back));
+  EXPECT_EQ(back, stats);
+}
+
+// One kVerdicts row (37 bytes) after the u32 count. The flags byte holds
+// three bools, so each flag is also encoded alone to pin its bit.
+TEST(Codec, VerdictRowGoldenBytes) {
+  VerdictRecord v;
+  v.day = 19000;  // 0x4a38
+  v.link = 0x01020304;
+  v.recurring = true;
+  v.congested = false;
+  v.quality_ok = true;
+  v.fraction = 0.75;          // 0x3fe8000000000000
+  v.contributors = 5;
+  v.asserting = 3;
+  v.far_coverage_frac = 0.5;  // 0x3fe0000000000000
+  const std::string golden(
+      "\x2a\x00\x00\x00"                  // length: type + 4 + 37
+      "\x09"                              // kVerdicts
+      "\x01\x00\x00\x00"                  // count
+      "\x38\x4a\x00\x00\x00\x00\x00\x00"  // day
+      "\x04\x03\x02\x01"                  // link
+      "\x05"                              // flags: recurring | quality_ok
+      "\x00\x00\x00\x00\x00\x00\xe8\x3f"  // fraction
+      "\x05\x00\x00\x00"                  // contributors
+      "\x03\x00\x00\x00"                  // asserting
+      "\x00\x00\x00\x00\x00\x00\xe0\x3f",  // far_coverage_frac
+      46);
+  const VerdictRecord rows[] = {v};
+  EXPECT_EQ(EncodeVerdicts(rows), golden);
+  FrameView frame;
+  ASSERT_EQ(ParseFrame(golden, &frame), FrameParse::kFrame);
+  std::vector<VerdictRecord> back;
+  ASSERT_TRUE(DecodeVerdicts(frame.payload, &back));
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0], v);
+
+  constexpr std::size_t kFlagsAt = 5 + 4 + 8 + 4;
+  for (int bit = 0; bit < 3; ++bit) {
+    VerdictRecord one;
+    one.recurring = bit == 0;
+    one.congested = bit == 1;
+    one.quality_ok = bit == 2;
+    const VerdictRecord row[] = {one};
+    EXPECT_EQ(EncodeVerdicts(row)[kFlagsAt], static_cast<char>(1 << bit))
+        << bit;
+  }
+}
+
+// The kWatermark payload (25 bytes); each flag is also encoded alone.
+TEST(Codec, WatermarkGoldenBytes) {
+  WatermarkInfo info;
+  info.samples_consumed = 0x0102030405;
+  info.watermark_t = 86415;  // 0x1518f
+  info.last_closed_day = -7;
+  info.degraded = true;
+  info.saw_sample = false;
+  const std::string golden(
+      "\x1a\x00\x00\x00"                  // length: type + 25 payload bytes
+      "\x10"                              // kWatermark
+      "\x05\x04\x03\x02\x01\x00\x00\x00"  // samples_consumed
+      "\x8f\x51\x01\x00\x00\x00\x00\x00"  // watermark_t
+      "\xf9\xff\xff\xff\xff\xff\xff\xff"  // last_closed_day
+      "\x01",                             // flags: degraded
+      30);
+  EXPECT_EQ(EncodeWatermark(info), golden);
+  FrameView frame;
+  ASSERT_EQ(ParseFrame(golden, &frame), FrameParse::kFrame);
+  EXPECT_EQ(frame.payload.size(), 25u);
+  WatermarkInfo back;
+  ASSERT_TRUE(DecodeWatermark(frame.payload, &back));
+  EXPECT_EQ(back, info);
+
+  WatermarkInfo saw;
+  saw.saw_sample = true;
+  EXPECT_EQ(EncodeWatermark(saw).back(), '\x02');
+}
+
 // Bitwise sample equality: NaN payloads and -0.0f included.
 bool SameSamples(std::span<const Sample> a, std::span<const Sample> b) {
   if (a.size() != b.size()) return false;
@@ -1927,30 +2068,6 @@ TEST(WalCodec, WatermarkRoundTripsAndRejectsJunk) {
   EXPECT_FALSE(DecodeWatermark(bad, &decoded));
 }
 
-// ------------------------------------------------------------- replay tool
-
-TEST(ReplayTornTail, TruncatedFinalFrameIsSkippedNotFatal) {
-  const std::string path = ::testing::TempDir() + "/manic_wal_replay.bin";
-  const std::vector<Sample> batch = SmallBatch(1, 4);
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::string frame = EncodeSubmitBatch(batch);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.write(frame.data(), 9);  // torn second frame: header + 4 bytes
-  }
-  ServiceConfig config;
-  config.engine.autocorr = SmallConfig();
-  CongestionService service(config);
-  service.Start();
-  const ReplayStats stats = ReplayFile(&service, path);
-  EXPECT_TRUE(stats.ok) << stats.error;
-  EXPECT_EQ(stats.frames, 1u);
-  EXPECT_EQ(stats.samples, batch.size());
-  EXPECT_EQ(stats.truncated_tail_bytes, 9u);
-  service.Stop();
-  std::remove(path.c_str());
-}
-
 // ------------------------------------------------------------ checkpoints
 
 // Every file under dir with its size.
@@ -2067,6 +2184,27 @@ TEST(CheckpointFormat, HeaderGoldenBytes) {
   v1[8] = '\x01';  // pair records with a raw section
   EXPECT_FALSE(DecodeCheckpointHeader(v1, &back));
   EXPECT_FALSE(DecodeCheckpointHeader(golden.substr(1), &back));
+}
+
+// The study's shard checkpoint log (runtime::CheckpointLog), byte for
+// byte: its magic, then each record's 16-byte [u64 key][u64 length]
+// header and the blob.
+TEST(CheckpointFormat, RecordHeaderGoldenBytes) {
+  WalDir dir("ckpt_record_header");
+  fs::create_directories(dir.path);
+  const std::string path = dir.path + "/study.ckpt";
+  runtime::CheckpointLog(path).Record(0x0102030405060708, "abc");
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const std::string golden(
+      "MANICCKPT1\n"                      // magic
+      "\x08\x07\x06\x05\x04\x03\x02\x01"  // key
+      "\x03\x00\x00\x00\x00\x00\x00\x00"  // length
+      "abc",
+      11 + runtime::CheckpointRecordHeader::kEncodedSize + 3);
+  EXPECT_EQ(bytes, golden);
+  EXPECT_EQ(runtime::CheckpointLog(path).Lookup(0x0102030405060708), "abc");
 }
 
 // Stray files of a checkpoint that never committed are ignored and removed;

@@ -1260,35 +1260,4 @@ void RunLockOrderPass(const FactsTable& table, const ConcurrencySpec& spec,
   SortUnique(found, out);
 }
 
-std::set<std::string, std::less<>> MultiRoleClasses(
-    const FactsTable& table, const ConcurrencySpec& spec) {
-  std::vector<FnDef> defs;
-  for (const TuFacts& file : table.Files()) CollectDefs(file, defs);
-  const RoleFacts facts = PropagateRoles(defs, spec);
-  std::map<std::string, std::set<std::string>, std::less<>> roles_by_class;
-  for (std::size_t d = 0; d < defs.size(); ++d) {
-    if (defs[d].cls.empty()) continue;
-    roles_by_class[defs[d].cls].insert(facts.roles[d].begin(),
-                                       facts.roles[d].end());
-  }
-  // Class-qualified owned fields pin their owning role to the class even
-  // when no method of that class is reachable from the role's entry point.
-  for (const auto& [pattern, role] : spec.owned) {
-    const std::size_t sep = pattern.find("::");
-    if (sep == std::string::npos) continue;
-    roles_by_class[pattern.substr(0, sep)].insert(role);
-  }
-  std::set<std::string, std::less<>> multi;
-  for (const auto& [cls, roles] : roles_by_class) {
-    if (roles.size() >= 2) multi.insert(cls);
-  }
-  // A declared shared field is by definition touched by two threads, so its
-  // class is multi-role regardless of what the call graph reaches.
-  for (const std::string& pattern : spec.shared) {
-    const std::size_t sep = pattern.find("::");
-    if (sep != std::string::npos) multi.insert(pattern.substr(0, sep));
-  }
-  return multi;
-}
-
 }  // namespace manic::lint

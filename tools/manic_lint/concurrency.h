@@ -102,12 +102,4 @@ void RunThreadRolePass(const FactsTable& table, const ConcurrencySpec& spec,
 void RunLockOrderPass(const FactsTable& table, const ConcurrencySpec& spec,
                       std::vector<Finding>& out);
 
-// Classes reached by two or more declared thread roles: methods reachable
-// (over the whole-program call graph) from entry points of distinct roles,
-// classes with owned fields pinned to distinct roles, and classes with a
-// declared `shared` field. The layout tier's false-sharing check keys its
-// multi-threaded-struct set off this.
-std::set<std::string, std::less<>> MultiRoleClasses(const FactsTable& table,
-                                                    const ConcurrencySpec& spec);
-
 }  // namespace manic::lint

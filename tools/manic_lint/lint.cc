@@ -11,7 +11,6 @@
 
 #include "concurrency.h"
 #include "graph.h"
-#include "layout.h"
 #include "lexer.h"
 #include "rules.h"
 #include "taint.h"
@@ -83,6 +82,16 @@ void AppendEscaped(std::string& out, std::string_view text) {
         }
     }
   }
+}
+
+// What an allow comment may name: `all`, a cataloged rule, or a family.
+bool IsCatalogedName(std::string_view name) {
+  if (name == "all") return true;
+  const std::vector<RuleInfo>& catalog = RuleCatalog();
+  return std::any_of(catalog.begin(), catalog.end(),
+                     [&](const RuleInfo& info) {
+                       return info.rule == name || info.family == name;
+                     });
 }
 
 bool SkippedDirectory(const std::string& name) {
@@ -222,8 +231,7 @@ TreeAnalysis AnalyzeTree(const std::vector<std::string>& paths,
                          const LayerManifest* manifest,
                          const UnitsSpec* units,
                          const TrustSpec* trust,
-                         const ConcurrencySpec* concurrency,
-                         const LayoutSpec* layout) {
+                         const ConcurrencySpec* concurrency) {
   TreeAnalysis result;
   std::vector<std::filesystem::path> sources;
   result.read_failure = !CollectSources(paths, sources);
@@ -244,7 +252,18 @@ TreeAnalysis AnalyzeTree(const std::vector<std::string>& paths,
                            std::make_move_iterator(file_findings.end()));
     TuFacts facts = ExtractFacts(source, logical);
     for (const auto& [line, rules] : facts.allow) {
-      for (const std::string& rule : rules) ++result.suppressions[rule];
+      for (const std::string& rule : rules) {
+        if (IsCatalogedName(rule)) {
+          ++result.suppressions[rule];
+          continue;
+        }
+        // An allow naming a retired or misspelled rule suppresses nothing,
+        // so it only misleads the reader and the audit.
+        result.findings.push_back(
+            {logical, line, "stale-allow", Severity::kError,
+             "allow(" + rule + ") names no cataloged rule or family; "
+             "it suppresses nothing, so delete it or fix the name"});
+      }
     }
     result.facts.Add(std::move(facts));
     ++result.files_scanned;
@@ -262,11 +281,6 @@ TreeAnalysis AnalyzeTree(const std::vector<std::string>& paths,
     RunAtomicsPass(result.facts, *concurrency, result.findings);
     RunThreadRolePass(result.facts, *concurrency, result.findings);
     RunLockOrderPass(result.facts, *concurrency, result.findings);
-  }
-  if (layout != nullptr && layout->loaded) {
-    RunLayoutPass(result.facts, *layout, concurrency, result.findings);
-    RunAllocPass(result.facts, *layout, result.findings);
-    RunWireAbiPass(result.facts, *layout, result.findings);
   }
   RunHotPathPass(result.facts, result.findings);
   SortFindings(result.findings);
@@ -343,6 +357,9 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"uninit-member", "token", "error/warning",
        "POD struct members need default initializers (error in "
        "StudyExecutor-adjacent code, warning elsewhere)"},
+      {"stale-allow", "token", "error",
+       "a `manic-lint: allow(...)` comment must name a cataloged rule or "
+       "family (or `all`); a stale name suppresses nothing"},
       {"include-cycle", "graph", "error",
        "the project include graph must stay acyclic"},
       {"layering", "graph", "error",
@@ -382,22 +399,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"wait-notify", "concurrency", "error",
        "condition-variable and atomic waits need a matching notify "
        "somewhere in the program"},
-      {"layout-budget", "layout", "error",
-       "hot per-element structs must fit their declared byte budgets under "
-       "the fixed-size model (tools/manic_lint/layout.txt)"},
-      {"layout-pad", "layout", "warning",
-       "reorderable padding waste at or above the spec threshold, with the "
-       "suggested field order"},
-      {"false-sharing", "layout", "error",
-       "an atomic field in a multi-thread-role struct must not share a "
-       "64-byte cache line with other mutable fields without alignas(64) "
-       "or a declared same-line exemption"},
-      {"alloc-scale", "layout", "error",
-       "no per-element heap allocation inside loops over declared "
-       "scale-axis collections; bulk paths are declared under `arena`"},
-      {"wire-abi", "layout", "error",
-       "structs pinned in the spec's `wire` section must keep exactly the "
-       "pinned fields, order, and encoded byte sizes"},
   };
   return kCatalog;
 }

@@ -22,7 +22,9 @@
 //                                   nondeterminism (and UBSan) hazard.
 //
 // Suppression: `// manic-lint: allow(rule[, rule...])` on the finding's line
-// or the line above it; `allow(all)` silences every rule for that line.
+// or the line above it; `allow(all)` silences every rule for that line. In
+// a tree analysis, an allow naming no cataloged rule or family is itself an
+// error (rule "stale-allow").
 #pragma once
 
 #include <filesystem>
@@ -39,7 +41,6 @@ struct LayerManifest;    // graph.h
 struct UnitsSpec;        // units.h
 struct TrustSpec;        // trust.h
 struct ConcurrencySpec;  // concurrency.h
-struct LayoutSpec;       // layout.h
 
 enum class Severity { kWarning, kError };
 
@@ -76,11 +77,10 @@ int LintPaths(const std::vector<std::string>& paths, std::vector<Finding>& out);
 // passes (include cycles, layering contract, unused includes — graph.h),
 // the semantic passes (units dataflow — units.h, determinism taint —
 // taint.h), the trust-boundary passes (taint flows, must-check
-// discards, hot-path contracts — trust.h), the concurrency passes
+// discards, hot-path contracts — trust.h), and the concurrency passes
 // (atomic memory-order contracts, thread-role ownership, lock-order —
-// concurrency.h), and the layout passes (byte budgets, padding, false
-// sharing, scale-loop allocation, wire-ABI pins — layout.h), with the
-// per-TU facts table and a suppression audit on the side.
+// concurrency.h), with the per-TU facts table and a suppression audit on
+// the side.
 struct TreeAnalysis {
   std::vector<Finding> findings;  // sorted by (file, line, rule)
   FactsTable facts;
@@ -88,7 +88,8 @@ struct TreeAnalysis {
   bool read_failure = false;  // some input path could not be read
   // Suppression audit: rule -> number of `// manic-lint: allow(rule)`
   // mentions across the scanned files ("all" counts under "all"), so
-  // suppression creep is visible in every report.
+  // suppression creep is visible in every report. Names the catalog does
+  // not know are reported as stale-allow findings instead.
   std::map<std::string, int> suppressions;
 };
 
@@ -97,15 +98,13 @@ struct TreeAnalysis {
 // unloaded) units spec skips the units pass only; a null (or unloaded)
 // trust spec skips the trust and must-check passes only; a null (or
 // unloaded) concurrency spec skips the atomics/thread-role/lock-order
-// passes only; a null (or unloaded) layout spec skips the
-// layout/alloc/wire-abi passes only. The determinism taint pass and the
-// hot-path contract pass always run.
+// passes only. The determinism taint pass, the hot-path contract pass and
+// the stale-allow check always run.
 TreeAnalysis AnalyzeTree(const std::vector<std::string>& paths,
                          const LayerManifest* manifest,
                          const UnitsSpec* units = nullptr,
                          const TrustSpec* trust = nullptr,
-                         const ConcurrencySpec* concurrency = nullptr,
-                         const LayoutSpec* layout = nullptr);
+                         const ConcurrencySpec* concurrency = nullptr);
 
 // One "path:line: severity[rule]: message" line per finding.
 std::string RenderText(const std::vector<Finding>& findings);
@@ -117,14 +116,14 @@ std::string RenderJson(const std::vector<Finding>& findings,
                        int files_scanned,
                        const std::map<std::string, int>& suppressions = {});
 
-// The complete rule catalog across all six tiers, in (family, rule) order.
+// The complete rule catalog across all five tiers, grouped by family.
 // `severity` is "error", "warning", or "error/warning" for rules whose
 // severity is context-dependent. This is the single source of truth the
 // README's rule table and `manic_lint --list-rules` are generated from.
 struct RuleInfo {
   std::string_view rule;
   std::string_view family;    // token|graph|units|determinism|trust|
-                              // concurrency|layout
+                              // concurrency
   std::string_view severity;
   std::string_view description;
 };

@@ -5,7 +5,7 @@
 //
 //   manic_lint [--json] [--werror] [--quiet] [--graph FILE]
 //              [--layers FILE] [--units FILE] [--trust FILE]
-//              [--concurrency FILE] [--layout FILE] [--list-rules]
+//              [--concurrency FILE] [--list-rules]
 //              [path...]
 //
 // Paths default to `src bench tests examples` resolved against the current
@@ -22,10 +22,8 @@
 // same behavior again), the concurrency passes (atomic memory-order
 // contracts, thread-role ownership, lock-order deadlock detection) from
 // --concurrency (default tools/manic_lint/concurrency.txt, same behavior
-// again), the layout passes (byte budgets, padding, false sharing,
-// scale-loop allocation, wire-ABI pins) from --layout (default
-// tools/manic_lint/layout.txt, same behavior again), and the hot-path
-// contract pass (always on, driven by in-source markers). --list-rules
+// again), the hot-path contract pass (always on, driven by in-source
+// markers), and the stale-allow check (always on). --list-rules
 // prints the machine-readable rule catalog as JSON and exits (the lint
 // README's rule table is generated from it). --graph writes the real
 // src/ module graph as Graphviz DOT. --json replaces the human report on
@@ -39,7 +37,6 @@
 
 #include "concurrency.h"
 #include "graph.h"
-#include "layout.h"
 #include "lint.h"
 #include "trust.h"
 #include "units.h"
@@ -51,12 +48,10 @@ int main(int argc, char** argv) {
   std::string units_path;
   std::string trust_path;
   std::string concurrency_path;
-  std::string layout_path;
   bool layers_explicit = false;
   bool units_explicit = false;
   bool trust_explicit = false;
   bool concurrency_explicit = false;
-  bool layout_explicit = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -70,8 +65,7 @@ int main(int argc, char** argv) {
       std::fputs(manic::lint::RenderRuleCatalogJson().c_str(), stdout);
       return 0;
     } else if (arg == "--graph" || arg == "--layers" || arg == "--units" ||
-               arg == "--trust" || arg == "--concurrency" ||
-               arg == "--layout") {
+               arg == "--trust" || arg == "--concurrency") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "manic_lint: %s needs a file argument\n",
                      arg.c_str());
@@ -88,23 +82,20 @@ int main(int argc, char** argv) {
       } else if (arg == "--trust") {
         trust_path = argv[++i];
         trust_explicit = true;
-      } else if (arg == "--concurrency") {
+      } else {
         concurrency_path = argv[++i];
         concurrency_explicit = true;
-      } else {
-        layout_path = argv[++i];
-        layout_explicit = true;
       }
     } else if (arg == "--help" || arg == "-h") {
       std::fputs(
           "usage: manic_lint [--json] [--werror] [--quiet] [--graph FILE]\n"
           "                  [--layers FILE] [--units FILE] [--trust FILE]\n"
-          "                  [--concurrency FILE] [--layout FILE]\n"
-          "                  [--list-rules] [path...]\n"
+          "                  [--concurrency FILE] [--list-rules]\n"
+          "                  [path...]\n"
           "Token-level determinism & safety linter plus whole-program\n"
           "architecture analyzer for the MANIC tree.\n"
           "Per-file rules: unordered-iter raw-entropy stdout-write\n"
-          "                header-hygiene uninit-member\n"
+          "                header-hygiene uninit-member stale-allow\n"
           "Graph passes:   include-cycle layering unused-include\n"
           "Semantic passes: determinism (always on) units (needs --units)\n"
           "Trust passes:   trust must-check (need --trust)\n"
@@ -112,8 +103,6 @@ int main(int argc, char** argv) {
           "Concurrency:    atomic-order atomic-pair atomic-guard\n"
           "                thread-role lock-order wait-notify\n"
           "                (need --concurrency)\n"
-          "Layout:         layout-budget layout-pad false-sharing\n"
-          "                alloc-scale wire-abi (need --layout)\n"
           "                (suppress: // manic-lint: allow(<rule>))\n"
           "--layers FILE   layering manifest (default\n"
           "                tools/manic_lint/layers.txt)\n"
@@ -123,8 +112,6 @@ int main(int argc, char** argv) {
           "                tools/manic_lint/trust.txt)\n"
           "--concurrency FILE  thread-role/ownership spec (default\n"
           "                tools/manic_lint/concurrency.txt)\n"
-          "--layout FILE   memory-layout/wire-ABI spec (default\n"
-          "                tools/manic_lint/layout.txt)\n"
           "--list-rules    print the JSON rule catalog and exit\n"
           "--graph FILE    write the src/ module graph as Graphviz DOT\n"
           "exit codes: 0 clean, 1 errors, 2 warnings only, 3 usage/IO\n",
@@ -144,7 +131,6 @@ int main(int argc, char** argv) {
   if (concurrency_path.empty()) {
     concurrency_path = "tools/manic_lint/concurrency.txt";
   }
-  if (layout_path.empty()) layout_path = "tools/manic_lint/layout.txt";
 
   std::string manifest_error;
   const manic::lint::LayerManifest manifest =
@@ -205,26 +191,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string layout_error;
-  const manic::lint::LayoutSpec layout =
-      manic::lint::LoadLayoutSpec(layout_path, &layout_error);
-  if (!layout.loaded) {
-    if (layout_explicit) {
-      std::fprintf(stderr, "manic_lint: %s\n", layout_error.c_str());
-      return 3;
-    }
-    if (!quiet) {
-      std::fprintf(stderr,
-                   "manic_lint: note: %s; layout passes skipped\n",
-                   layout_error.c_str());
-    }
-  }
-
   const manic::lint::TreeAnalysis analysis = manic::lint::AnalyzeTree(
       paths, manifest.loaded ? &manifest : nullptr,
       units.loaded ? &units : nullptr, trust.loaded ? &trust : nullptr,
-      concurrency.loaded ? &concurrency : nullptr,
-      layout.loaded ? &layout : nullptr);
+      concurrency.loaded ? &concurrency : nullptr);
   if (analysis.read_failure) {
     std::fputs("manic_lint: some inputs could not be read\n", stderr);
     return 3;
